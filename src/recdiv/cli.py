@@ -6,6 +6,7 @@ b-file), series (compare a partial Dirichlet sum with its closed form),
 and bench (time the sieves against the naive recursion).
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 usage or IO error.
+A reader that closes the output pipe early ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ __all__ = ["main", "build_parser"]
 _JSON_SAFE_MAX = (1 << 53) - 1
 
 _EPILOG = """\
-environment:
-  KAPPA_THREADS   caps internal parallelism; 0 or unset picks the default.
-                  Must be a nonnegative integer when set.
-
 json encoding:
   integer values whose magnitude exceeds 2^53 - 1 are emitted as decimal
   strings so nothing is rounded by consumers that read JSON numbers as
@@ -143,6 +140,8 @@ def cmd_check(args) -> int:
             }
             if not r.passed:
                 entry["first_failure_n"] = r.first_failure_n
+                entry["lhs_value"] = _json_value(r.lhs_value)
+                entry["rhs_value"] = _json_value(r.rhs_value)
             payload.append(entry)
         with open(args.report, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2)
@@ -214,27 +213,20 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("KAPPA_THREADS")
-    if threads is not None and threads.strip() != "":
-        try:
-            cap = int(threads)
-            if cap < 0:
-                raise ValueError
-        except ValueError:
-            print(
-                f"KAPPA_THREADS must be a nonnegative integer, got {threads!r}",
-                file=sys.stderr,
-            )
-            return 2
-        # current implementation is single-threaded, so any cap is honored
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`recdiv gen ... | head`): point stdout
+        # at devnull so the interpreter's final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BFileParseError as exc:
         print(f"b-file parse error: {exc}", file=sys.stderr)
         return 2

@@ -250,7 +250,7 @@ def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
     if not xs:
         raise ValueError("exponent_set must be nonempty")
     for v in xs:
-        if not isinstance(v, int) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"exponents must be nonnegative integers, got {v!r}")
     pool = SequencePool(n_max)
     reports = []

@@ -31,7 +31,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "ArithSeq",
@@ -226,29 +226,20 @@ class RatSeq:
 
 
 class DivisorTable:
-    """Smallest-prime-factor table for divisor enumeration on 1..n_max."""
+    """Smallest-prime-factor table for factorizing n in 1..n_max."""
 
     __slots__ = ("n_max", "_spf")
 
-    def __init__(self, n_max: int, _spf: list[int] | None = None) -> None:
+    def __init__(self, n_max: int) -> None:
         if n_max < 1:
             raise ValueError("n_max must be a positive integer")
         self.n_max = n_max
-        self._spf = _spf if _spf is not None else _spf_array(n_max)
-
-    def smallest_prime_factor(self, n: int) -> int:
-        self._check_range(n)
-        if n == 1:
-            raise ValueError("1 has no prime factor")
-        return self._spf[n]
-
-    def is_prime(self, n: int) -> bool:
-        self._check_range(n)
-        return n >= 2 and self._spf[n] == n
+        self._spf = _spf_array(n_max)
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization of n as (prime, exponent) pairs, ascending."""
-        self._check_range(n)
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"table covers 1..{self.n_max}, got n={n}")
         spf = self._spf
         out = []
         while n > 1:
@@ -264,30 +255,9 @@ class DivisorTable:
         """Number of prime factors of n counted with multiplicity (big Omega)."""
         return sum(e for _, e in self.factorize(n))
 
-    def divisors(self, n: int) -> list[int]:
-        """All divisors of n, ascending."""
-        divs = [1]
-        for p, e in self.factorize(n):
-            pk = 1
-            powers = []
-            for _ in range(e):
-                pk *= p
-                powers.append(pk)
-            divs += [d * q for q in powers for d in divs]
-        divs.sort()
-        return divs
-
-    def proper_divisors(self, n: int) -> list[int]:
-        """Divisors d of n with d < n, ascending."""
-        return self.divisors(n)[:-1]
-
-    def _check_range(self, n: int) -> None:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"table covers 1..{self.n_max}, got n={n}")
-
 
 def make_divisor_table(n_max: int) -> DivisorTable:
-    """Precompute the divisor structure for 1..n_max."""
+    """Precompute the smallest-prime-factor table for 1..n_max."""
     return DivisorTable(n_max)
 
 
@@ -323,7 +293,7 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     if name in PARAMETRIC_NAMES:
         if x is None:
             raise ValueError(f"generator {name!r} requires the exponent x")
-        if not isinstance(x, int) or x < 0:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
             raise ValueError(f"exponent x must be a nonnegative integer, got {x!r}")
         label = f"{name}_{x}"
     else:
@@ -340,11 +310,12 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     elif name == "id":
         padded = [0] + [n**x for n in range(1, n_max + 1)]
     elif name == "mobius":
-        padded = _mobius_padded(n_max)
+        padded = _multiplicative_fill(n_max, lambda p: (-1, 0))
     elif name == "phi":
-        padded = _jordan_padded(n_max, 1)
+        padded = _multiplicative_fill(n_max, lambda p: (p - 1, p))
     elif name == "jordan":
-        padded = _jordan_padded(n_max, x)
+        # Independent of the mobius * id_x convolution it is tested against.
+        padded = _multiplicative_fill(n_max, lambda p: (p**x - 1, p**x))
     elif name == "num_divisors":
         padded = _sigma_padded(n_max, 0)
     elif name == "sigma":
@@ -360,30 +331,28 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     return ArithSeq._from_padded(padded, label)
 
 
-def _mobius_padded(n_max: int) -> list[int]:
+def _multiplicative_fill(
+    n_max: int, factors: Callable[[int], tuple[int, int]]
+) -> list[int]:
+    """Tabulate the multiplicative f with f(p^e) = new(p) * same(p)^(e - 1).
+
+    ``factors(p)`` returns ``(new(p), same(p))`` and is called once per
+    prime.  Each n > 1 then takes one step over its smallest prime factor
+    p: f(n) = f(n/p) * (same(p) if p divides n/p else new(p)).
+    """
     spf = _spf_array(n_max)
-    mu = [0] * (n_max + 1)
-    if n_max >= 1:
-        mu[1] = 1
+    new = [0] * (n_max + 1)
+    same = [0] * (n_max + 1)
+    for p in range(2, n_max + 1):
+        if spf[p] == p:
+            new[p], same[p] = factors(p)
+    f = [0] * (n_max + 1)
+    f[1] = 1
     for n in range(2, n_max + 1):
         p = spf[n]
         m = n // p
-        mu[n] = 0 if m % p == 0 else -mu[m]
-    return mu
-
-
-def _jordan_padded(n_max: int, x: int) -> list[int]:
-    # Multiplicative fill over smallest prime factors; independent of the
-    # mobius * id_x convolution it is tested against.
-    spf = _spf_array(n_max)
-    j = [0] * (n_max + 1)
-    j[1] = 1
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m = n // p
-        px = p**x
-        j[n] = j[m] * px if m % p == 0 else j[m] * (px - 1)
-    return j
+        f[n] = f[m] * (same[p] if m % p == 0 else new[p])
+    return f
 
 
 def _sigma_padded(n_max: int, x: int) -> list[int]:

@@ -120,6 +120,8 @@ class TestCheckAll:
             check_all(10, [-1])
         with pytest.raises(ValueError):
             check_all(10, [0, 1.5])
+        with pytest.raises(ValueError):
+            check_all(10, [True])
 
 
 class TestAgainstIndependentOracle:
