@@ -57,23 +57,25 @@ def parse_bfile_text(text: str, source_name: str = "") -> BFile:
     entries = []
     prev_index = 0
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise BFileParseError(
-                f"expected 'index value', got {len(tokens)} tokens", line_number
-            )
         try:
-            index, value = int(tokens[0]), int(tokens[1])
+            index_token, value_token = raw.split()
+            index, value = int(index_token), int(value_token)
         except ValueError:
+            # Not a data line: find out which case, off the hot path.
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise BFileParseError(
+                    f"expected 'index value', got {len(tokens)} tokens", line_number
+                ) from None
             raise BFileParseError(
                 f"non-integer token in {line!r}", line_number
             ) from None
-        if index < 1:
-            raise BFileParseError(f"index {index} is not positive", line_number)
         if index <= prev_index:
+            if index < 1:
+                raise BFileParseError(f"index {index} is not positive", line_number)
             raise BFileParseError(
                 f"index {index} does not increase past {prev_index}", line_number
             )

@@ -5,7 +5,8 @@ the identity suite), oeis-compare (diff a generator against a local
 b-file), series (compare a partial Dirichlet sum with its closed form),
 and bench (time the sieves against the naive recursion).
 
-Exit codes: 0 success, 1 mathematical mismatch, 2 usage or IO error.
+Exit codes: 0 success, 1 mathematical mismatch, 2 usage, IO or
+out-of-memory error.
 A reader that closes the output pipe early ends the run quietly with 0.
 """
 
@@ -157,8 +158,9 @@ def cmd_oeis_compare(args) -> int:
     top = bf.entries[-1][0]
     seq = gen_builtin(args.fn, top, x=args.x)
     label = seq.label or args.fn
+    values = seq.terms()
     for index, expected in bf.entries:
-        actual = seq[index]
+        actual = values[index - 1]
         if actual != expected:
             print(
                 f"mismatch at index {index}: {label} gives {actual}, "
@@ -235,6 +237,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -2,9 +2,11 @@
 
 Every sequence is integer valued and tabulated on n = 1..n_max with
 Python's arbitrary-precision integers, so identity checks compare exact
-values and never round.  The recursive generators (``kappa``, ``K``) and
-the divisor-sum generators (``sigma``, ``num_divisors``) are sieves over
-multiples, O(N log N) additions in total; nothing factorizes per n.
+values and never round.  The recursive generators (``kappa``, ``K``) are
+sieves over multiples, O(N log N) additions in total.  The five
+multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
+``num_divisors``) are O(N): one step per n over the smallest-prime-factor
+table, itself an O(N log log N) sieve.  Nothing factorizes n in full.
 
 Built-in generators, by identifier (see `gen_builtin`):
 
@@ -83,7 +85,7 @@ class ArithSeq:
         if not terms:
             raise ValueError("an ArithSeq needs at least one term (n_max >= 1)")
         for t in terms:
-            if not isinstance(t, int):
+            if isinstance(t, bool) or not isinstance(t, int):
                 raise ValueError(f"terms must be exact integers, got {t!r}")
         self.n_max = len(terms)
         self.label = label
@@ -281,7 +283,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     ``x`` is the exponent for the parametric generators (id, jordan,
     sigma, kappa); passing it for any other identifier is an error, as
     is omitting it for a parametric one.  Unknown identifiers raise
-    ValueError.
+    ValueError.  A table too large for memory raises MemoryError naming
+    n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
@@ -301,67 +304,76 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
             raise ValueError(f"generator {name!r} takes no exponent")
         label = name
 
-    if name == "epsilon":
-        padded = [0] * (n_max + 1)
-        padded[1] = 1
-    elif name == "one":
-        padded = [1] * (n_max + 1)
-        padded[0] = 0
-    elif name == "id":
-        padded = [0] + [n**x for n in range(1, n_max + 1)]
-    elif name == "mobius":
-        padded = _multiplicative_fill(n_max, lambda p: (-1, 0))
-    elif name == "phi":
-        padded = _multiplicative_fill(n_max, lambda p: (p - 1, p))
-    elif name == "jordan":
-        # Independent of the mobius * id_x convolution it is tested against.
-        padded = _multiplicative_fill(n_max, lambda p: (p**x - 1, p**x))
-    elif name == "num_divisors":
-        padded = _sigma_padded(n_max, 0)
-    elif name == "sigma":
-        padded = _sigma_padded(n_max, x)
-    elif name == "kappa":
-        padded = [0] + [n**x for n in range(1, n_max + 1)]
-        _accumulate_proper_divisor_sums(padded)
-    else:  # K
-        padded = [0] * (n_max + 1)
-        padded[1] = 1
-        _accumulate_proper_divisor_sums(padded)
+    try:
+        if name == "epsilon":
+            padded = [0] * (n_max + 1)
+            padded[1] = 1
+        elif name == "one":
+            padded = [1] * (n_max + 1)
+            padded[0] = 0
+        elif name == "id":
+            padded = [0] + [n**x for n in range(1, n_max + 1)]
+        elif name == "mobius":
+            padded = _multiplicative_fill(n_max, lambda p: (-1, 0, 0))
+        elif name == "phi":
+            padded = _multiplicative_fill(n_max, lambda p: (p - 1, p, 0))
+        elif name == "jordan":
+            # Independent of the mobius * id_x convolution it is tested against.
+            padded = _multiplicative_fill(n_max, lambda p: (p**x - 1, p**x, 0))
+        elif name == "num_divisors":
+            # d(p^e) = e + 1 = 2 d(p^(e-1)) - d(p^(e-2))
+            padded = _multiplicative_fill(n_max, lambda p: (2, 2, 1))
+        elif name == "sigma":
+            # sigma_x(p^e) = (1 + p^x) sigma_x(p^(e-1)) - p^x sigma_x(p^(e-2));
+            # independent of kappa and of one * id_x, which identities compare it to.
+            padded = _multiplicative_fill(n_max, lambda p: (1 + p**x, 1 + p**x, p**x))
+        elif name == "kappa":
+            padded = [0] + [n**x for n in range(1, n_max + 1)]
+            _accumulate_proper_divisor_sums(padded)
+        else:  # K
+            padded = [0] * (n_max + 1)
+            padded[1] = 1
+            _accumulate_proper_divisor_sums(padded)
+    except MemoryError:
+        raise MemoryError(
+            f"out of memory tabulating {label} on n = 1..{n_max}"
+        ) from None
 
     return ArithSeq._from_padded(padded, label)
 
 
 def _multiplicative_fill(
-    n_max: int, factors: Callable[[int], tuple[int, int]]
+    n_max: int, factors: Callable[[int], tuple[int, int, int]]
 ) -> list[int]:
-    """Tabulate the multiplicative f with f(p^e) = new(p) * same(p)^(e - 1).
+    """Tabulate a multiplicative f in O(N) over the smallest-prime-factor table.
 
-    ``factors(p)`` returns ``(new(p), same(p))`` and is called once per
-    prime.  Each n > 1 then takes one step over its smallest prime factor
-    p: f(n) = f(n/p) * (same(p) if p divides n/p else new(p)).
+    ``factors(p)`` returns ``(new(p), same(p), back(p))`` and is called once
+    per prime.  Each n > 1 then takes one step over its smallest prime
+    factor p, with m = n/p:
+
+        f(n) = new(p) * f(m)                        if p does not divide m
+        f(n) = same(p) * f(m) - back(p) * f(m/p)    otherwise
+
+    so on prime powers f(p) = new(p) and
+    f(p^e) = same(p) * f(p^(e-1)) - back(p) * f(p^(e-2)) for e >= 2.
     """
     spf = _spf_array(n_max)
     new = [0] * (n_max + 1)
     same = [0] * (n_max + 1)
+    back = [0] * (n_max + 1)
     for p in range(2, n_max + 1):
         if spf[p] == p:
-            new[p], same[p] = factors(p)
+            new[p], same[p], back[p] = factors(p)
     f = [0] * (n_max + 1)
     f[1] = 1
     for n in range(2, n_max + 1):
         p = spf[n]
         m = n // p
-        f[n] = f[m] * (same[p] if m % p == 0 else new[p])
+        if m % p:
+            f[n] = new[p] * f[m]
+        else:
+            f[n] = same[p] * f[m] - back[p] * f[m // p]
     return f
-
-
-def _sigma_padded(n_max: int, x: int) -> list[int]:
-    vals = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dx = d**x
-        for m in range(d, n_max + 1, d):
-            vals[m] += dx
-    return vals
 
 
 def _accumulate_proper_divisor_sums(vals: list[int]) -> None:

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from recdiv.bfile import (
     BFile,
@@ -102,3 +104,22 @@ class TestBFileType:
     def test_empty_has_no_index_range(self):
         with pytest.raises(ValueError):
             BFile(()).index_range()
+
+
+# Text made of b-file material (digits, signs, comments, blank lines), so
+# most examples reach the integer and index checks, not only the token count.
+bfile_like_text = st.text(alphabet="0123456789 -+_#x\t\r\n", max_size=200)
+
+
+class TestFuzz:
+    @given(st.one_of(st.text(), bfile_like_text))
+    def test_any_text_parses_or_names_a_line(self, text):
+        try:
+            parse_bfile_text(text)
+        except BFileParseError as exc:
+            assert 1 <= exc.line_number <= len(text.splitlines())
+
+    @given(st.lists(st.integers()))
+    def test_format_parse_round_trip(self, values):
+        bf = parse_bfile_text(format_bfile(values))
+        assert bf.entries == tuple(enumerate(values, start=1))

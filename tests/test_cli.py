@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -269,3 +270,34 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 1\n2 1\n3 1\n4 2\n"
+
+
+def _limit_address_space():
+    # 1 GiB: room for the interpreter, far short of the tables asked for below
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestOutOfMemory:
+    # K's first allocation is a single [0] * (n + 1), which fails at once
+    # under the limit instead of growing until the machine runs short.
+
+    def run_limited(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "recdiv.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+
+    def test_gen_exits_2_naming_the_range(self):
+        proc = self.run_limited("gen", "--fn", "K", "--n", str(10**15))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: out of memory tabulating K on n = 1..{10**15}\n"
+
+    def test_oeis_compare_exits_2_naming_the_range(self, tmp_path):
+        path = tmp_path / "sparse.txt"
+        path.write_text(f"1 1\n{10**14} 1\n")
+        proc = self.run_limited("oeis-compare", "--fn", "K", "--bfile", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: out of memory tabulating K on n = 1..{10**14}\n"

@@ -62,6 +62,16 @@ class TestGoldenRows:
     def test_num_divisors_equals_sigma_0(self):
         assert gen_builtin("num_divisors", 500) == gen_builtin("sigma", 500, x=0)
 
+    def test_divisor_power_sums_against_enumeration(self):
+        # 1..3000 holds 2^11 and 3^7: prime powers deep enough to run the
+        # back term of the prime-power step many times over
+        n = 3000
+        divisors = [brute_divisors(k) for k in range(1, n + 1)]
+        for x in range(7):
+            expected = [sum(d**x for d in ds) for ds in divisors]
+            assert gen_builtin("sigma", n, x=x).terms() == expected, x
+        assert gen_builtin("num_divisors", n).terms() == [len(ds) for ds in divisors]
+
 
 class TestGenBuiltinValidation:
     def test_unknown_name(self):
@@ -109,6 +119,8 @@ class TestArithSeq:
             ArithSeq([])
         with pytest.raises(ValueError, match="exact integers"):
             ArithSeq([1, 2.5])
+        with pytest.raises(ValueError, match="exact integers"):
+            ArithSeq([True, False, True])
 
     def test_equality_ignores_label(self):
         assert ArithSeq([1, 2], label="a") == ArithSeq([1, 2], label="b")
