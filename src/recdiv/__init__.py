@@ -6,92 +6,20 @@ the associated Dirichlet series numerically, and checks the algebraic
 identities tying all of it together.
 """
 
-from .bfile import BFile, BFileParseError, format_bfile, parse_bfile, parse_bfile_text
-from .identities import (
-    REGISTRY,
-    IdentityCheck,
-    IdentityReport,
-    SequencePool,
-    check_all,
-    check_identity,
-    compare_sequences,
-    registered_codes,
-)
-from .oracles import (
-    count_ordered_factorizations,
-    naive_kappa,
-    naive_kappa_range,
-    ordered_factorizations,
-)
-from .sequences import (
-    BUILTIN_NAMES,
-    PARAMETRIC_NAMES,
-    ArithSeq,
-    DivisorTable,
-    NotAUnitError,
-    RatSeq,
-    dirichlet_convolve,
-    dirichlet_inverse,
-    gen_builtin,
-    make_divisor_table,
-    series_partial,
-)
-from .series import (
-    ClosedFormReport,
-    DivergenceError,
-    SeriesPoint,
-    SingularityDomainError,
-    ZetaValue,
-    dirichlet_partial_sum,
-    find_singularity,
-    verify_closed_form,
-    zeta,
-)
+from . import bfile, identities, oracles, sequences, series
+from .bfile import *
+from .identities import *
+from .oracles import *
+from .sequences import *
+from .series import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # sequences
-    "ArithSeq",
-    "RatSeq",
-    "DivisorTable",
-    "NotAUnitError",
-    "BUILTIN_NAMES",
-    "PARAMETRIC_NAMES",
-    "make_divisor_table",
-    "gen_builtin",
-    "dirichlet_convolve",
-    "dirichlet_inverse",
-    "series_partial",
-    # identities
-    "IdentityCheck",
-    "IdentityReport",
-    "SequencePool",
-    "REGISTRY",
-    "registered_codes",
-    "check_identity",
-    "check_all",
-    "compare_sequences",
-    # oracles
-    "ordered_factorizations",
-    "count_ordered_factorizations",
-    "naive_kappa",
-    "naive_kappa_range",
-    # series
-    "ZetaValue",
-    "SeriesPoint",
-    "ClosedFormReport",
-    "DivergenceError",
-    "SingularityDomainError",
-    "zeta",
-    "dirichlet_partial_sum",
-    "verify_closed_form",
-    "find_singularity",
-    # bfile
-    "BFile",
-    "BFileParseError",
-    "parse_bfile",
-    "parse_bfile_text",
-    "format_bfile",
+    *sequences.__all__,
+    *identities.__all__,
+    *oracles.__all__,
+    *series.__all__,
+    *bfile.__all__,
 ]

@@ -41,11 +41,6 @@ class BFile:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def index_range(self) -> tuple[int, int]:
-        if not self.entries:
-            raise ValueError("empty b-file has no index range")
-        return self.entries[0][0], self.entries[-1][0]
-
 
 def parse_bfile_text(text: str, source_name: str = "") -> BFile:
     """Parse b-file content from a string.
@@ -89,7 +84,7 @@ def parse_bfile(path: str | Path) -> BFile:
     return parse_bfile_text(path.read_text(encoding="ascii"), source_name=path.name)
 
 
-def format_bfile(values: Iterable[int], start_index: int = 1) -> str:
-    """Render consecutive values as b-file lines "i value", newline-terminated."""
-    lines = [f"{i} {v}" for i, v in enumerate(values, start=start_index)]
+def format_bfile(values: Iterable[int]) -> str:
+    """Render values as b-file lines "n value" from n = 1, newline-terminated."""
+    lines = [f"{i} {v}" for i, v in enumerate(values, start=1)]
     return "\n".join(lines) + "\n" if lines else ""

@@ -220,6 +220,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact values of any size print and parse: lift CPython's int/str digit
+    # limit for the run (0 means none; Python before 3.10.7 has none either).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -241,6 +246,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

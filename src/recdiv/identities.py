@@ -7,20 +7,8 @@ checked in cleared form (both sides doubled) so everything stays in the
 integers.  A report records the first failing index and both values
 there, which is what you want when hunting a sieve bug.
 
-Registered codes:
-
-    EQ3   kappa_x * sigma_y = kappa_y * sigma_x         (two exponents)
-    EQ4   2*kappa_x = id_x + one * kappa_x              (one exponent)
-    EQ6   kappa_x = jordan_x * kappa_0                  (one exponent)
-    EQ7   inverse(kappa_x) = inverse(jordan_x) * (2*mobius - epsilon)
-    EQ8   sigma_x = kappa_x * (2*one - num_divisors)    (one exponent)
-    EQ9   kappa_0 = one * K
-    EQ10  2*K = epsilon + one * K
-    EQ12  kappa_x = id_x * K                            (one exponent)
-    EQ13  inverse(K) = 2*epsilon - one
-    SC1   kappa_1 = phi * kappa_0
-    SC2   inverse(kappa_0) = 2*mobius - epsilon
-    JY    kappa_x * jordan_y = kappa_y * jordan_x       (two exponents)
+`REGISTRY` below lists the codes, each with its statement and the
+number of exponents it takes.
 
 The halving-series representations of kappa_x and K are deliberately not
 registered here; they are covered by the exact dyadic convergence tests

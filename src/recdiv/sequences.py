@@ -32,7 +32,9 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -171,8 +173,7 @@ class RatSeq:
     """Dyadic-rational sequence on 1..n_max with one shared denominator 2^m.
 
     Every entry is numerator(n) / 2^denominator_exponent.  Numerators are
-    stored unreduced; equality cross-multiplies, so two representations of
-    the same values compare equal.
+    stored unreduced.
     """
 
     __slots__ = ("n_max", "denominator_exponent", "_nums")
@@ -192,31 +193,10 @@ class RatSeq:
             raise IndexError(f"sequence is defined on 1..{self.n_max}, got n={n}")
         return self._nums[n]
 
-    def numerators(self) -> list[int]:
-        return self._nums[1:]
-
-    def __len__(self) -> int:
-        return self.n_max
-
     def __getitem__(self, n: int):
         from fractions import Fraction
 
         return Fraction(self.numerator(n), 1 << self.denominator_exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatSeq):
-            return NotImplemented
-        if self.n_max != other.n_max:
-            return False
-        sm, om = self.denominator_exponent, other.denominator_exponent
-        # a/2^sm == b/2^om  <=>  a * 2^om == b * 2^sm; shift the smaller side.
-        if sm <= om:
-            shift = om - sm
-            return all(a << shift == b for a, b in zip(self._nums, other._nums))
-        shift = sm - om
-        return all(a == b << shift for a, b in zip(self._nums, other._nums))
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         head = ", ".join(str(v) for v in self._nums[1:7])
@@ -264,12 +244,12 @@ def make_divisor_table(n_max: int) -> DivisorTable:
 
 
 def _spf_array(n_max: int) -> list[int]:
-    spf = [0] * (n_max + 1)
-    for i in range(2, n_max + 1):
-        if spf[i] == 0:
-            for j in range(i, n_max + 1, i):
-                if spf[j] == 0:
-                    spf[j] = i
+    spf = list(range(n_max + 1))
+    for p in range(2, isqrt(n_max) + 1):
+        if spf[p] == p:
+            for j in range(p * p, n_max + 1, p):
+                if spf[j] == j:
+                    spf[j] = p
     return spf
 
 
@@ -305,6 +285,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
         label = name
 
     try:
+        if n_max >= sys.maxsize:  # no list holds it: fail before one grows
+            raise MemoryError
         if name == "epsilon":
             padded = [0] * (n_max + 1)
             padded[1] = 1
@@ -395,7 +377,7 @@ def _accumulate_proper_divisor_sums(vals: list[int]) -> None:
 # Convolution algebra
 
 
-def dirichlet_convolve(f: ArithSeq, g: ArithSeq, label: str | None = None) -> ArithSeq:
+def dirichlet_convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
     """Dirichlet convolution: result(n) = sum over d|n of f(d) * g(n/d).
 
     Double loop over d and the multiples of d, O(N log N) multiplications.
@@ -409,19 +391,13 @@ def dirichlet_convolve(f: ArithSeq, g: ArithSeq, label: str | None = None) -> Ar
         fd = fv[d]
         if not fd:
             continue
-        lim = n_max // d
-        if fd == 1:
-            out[d::d] = [o + gm for o, gm in zip(out[d::d], islice(gv, 1, lim + 1))]
-        else:
-            out[d::d] = [
-                o + fd * gm for o, gm in zip(out[d::d], islice(gv, 1, lim + 1))
-            ]
-    if label is None:
-        label = f"{f.label}*{g.label}"
-    return ArithSeq._from_padded(out, label)
+        out[d::d] = [
+            o + fd * gm for o, gm in zip(out[d::d], islice(gv, 1, n_max // d + 1))
+        ]
+    return ArithSeq._from_padded(out, f"{f.label}*{g.label}")
 
 
-def dirichlet_inverse(f: ArithSeq, label: str | None = None) -> ArithSeq:
+def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
     """The g with f * g = epsilon, by ascending-n recursion.
 
     Requires f(1) in {+1, -1}; anything else raises NotAUnitError because
@@ -451,9 +427,7 @@ def dirichlet_inverse(f: ArithSeq, label: str | None = None) -> ArithSeq:
                     a + gd * fm
                     for a, fm in zip(acc[start::d], islice(fv, 2, lim + 1))
                 ]
-    if label is None:
-        label = f"{f.label}^-1" if f.label else "inverse"
-    return ArithSeq._from_padded(g, label)
+    return ArithSeq._from_padded(g, f"{f.label}^-1" if f.label else "inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +459,7 @@ def series_partial(kind: str, m: int, n_max: int, *, x: int | None = None) -> Ra
     nums = [0] * (n_max + 1)
     for k in range(1, m + 1):
         if k > 1:
-            term = dirichlet_convolve(one, term, label=f"term_{k}")
+            term = dirichlet_convolve(one, term)
         tv = term._vals
         nums = [2 * a + t for a, t in zip(nums, tv)]
     return RatSeq(nums[1:], m)

@@ -134,9 +134,12 @@ def zeta(s: float, tol: float = 1e-12) -> ZetaValue:
         raise ValueError("tol must be positive")
     tol = max(float(tol), TOL_FLOOR)
 
+    # Past s = 1100 every term but 1 underflows, so evaluate there: past s ~ 1e44
+    # the Bernoulli factors would overflow to inf * 0 = nan and never converge.
+    s_eval = min(s, 1100.0)
     m = 8
     while True:
-        value, bound = _euler_maclaurin(s, m)
+        value, bound = _euler_maclaurin(s_eval, m)
         # cushion for roundoff in the direct sum and corrections
         roundoff = 8.0 * math.ulp(abs(value) + 1.0) * math.sqrt(m)
         # once the cushion alone exceeds tol and truncation no longer
@@ -156,8 +159,22 @@ def dirichlet_partial_sum(f: ArithSeq, s: float) -> SeriesPoint:
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("s must be a finite real number")
-    total = math.fsum(v * n**-s for n, v in enumerate(f, start=1))
-    return SeriesPoint(s, f.n_max, total)
+    return SeriesPoint(s, f.n_max, math.fsum(_float_terms(f, s)))
+
+
+def _float_terms(f: ArithSeq, s: float) -> list[float]:
+    """The doubles f(n) / n^s; a term past their range is a ValueError naming n."""
+    try:
+        return [v * n**-s for n, v in enumerate(f, start=1)]
+    except OverflowError:
+        pass
+    for n, v in enumerate(f, start=1):  # find the culprit, off the hot path
+        try:
+            v * n**-s
+        except OverflowError:
+            raise ValueError(
+                f"{f.label or 'f'}(n) / n^{s:g} leaves the double range at n = {n}"
+            ) from None
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +214,7 @@ def verify_closed_form(
     closed = zeta(s - x).value / (2.0 - zeta_s)
 
     f = gen_builtin("kappa", n_max, x=x)
-    terms = [v * n**-s for n, v in enumerate(f, start=1)]
+    terms = _float_terms(f, s)
     lengths = sorted({max(1, n_max // 4), max(1, n_max // 2), n_max})
     sums = [math.fsum(islice(terms, length)) for length in lengths]
     gaps = [abs(total - closed) / abs(closed) for total in sums]

@@ -16,7 +16,6 @@ class TestParse:
         bf = parse_bfile_text("1 1\n2 3\n3 4\n")
         assert bf.entries == ((1, 1), (2, 3), (3, 4))
         assert len(bf) == 3
-        assert bf.index_range() == (1, 3)
 
     def test_comments_and_blanks_are_skipped(self):
         text = "# header comment\n\n1 5\n\n# middle\n2 7\n   \n"
@@ -84,9 +83,6 @@ class TestFormat:
     def test_empty(self):
         assert format_bfile([]) == ""
 
-    def test_start_index(self):
-        assert format_bfile([9], start_index=7) == "7 9\n"
-
     def test_round_trip(self):
         values = [3, -1, 0, 10**30, 42]
         bf = parse_bfile_text(format_bfile(values))
@@ -100,10 +96,6 @@ class TestBFileType:
             BFile(((2, 1), (2, 5)))
         with pytest.raises(ValueError):
             BFile(((0, 1),))
-
-    def test_empty_has_no_index_range(self):
-        with pytest.raises(ValueError):
-            BFile(()).index_range()
 
 
 # Text made of b-file material (digits, signs, comments, blank lines), so

@@ -165,6 +165,21 @@ class TestOeisCompare:
         )
         assert code == 2
 
+    def test_values_past_the_str_digit_limit_round_trip(self, capsys, tmp_path):
+        # id_5000(10) has 5001 digits, past CPython's default limit of 4300
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        argv = ["--fn", "id", "--x", "5000"]
+        code, out, err = run(capsys, "gen", *argv, "--n", "10", "--format", "bfile")
+        assert code == 0
+        assert err == ""
+        path = tmp_path / "id_5000.txt"
+        path.write_text(out)
+        code, out, _ = run(capsys, "oeis-compare", *argv, "--bfile", str(path))
+        assert code == 0
+        assert "all 10 entries" in out
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit  # restored for library callers
+
     def test_comments_only_file(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# no data\n")
@@ -211,6 +226,13 @@ class TestSeries:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "series", "--x", "0")[0] == 2
+
+    def test_huge_s_answers_at_once(self, capsys):
+        # zeta(1e308) = 1: the gap is 0 at every checkpoint, so not shrinking
+        code, out, err = run(capsys, "series", "--x", "0", "--s", "1e308", "--n", "10")
+        assert code == 1
+        assert "verdict: FAIL" in out
+        assert err == ""
 
 
 class TestBench:
@@ -272,6 +294,51 @@ class TestTopLevel:
         assert proc.stdout == "1 1\n2 1\n3 1\n4 2\n"
 
 
+# Hostile argv that passes argparse: (argv, exit code, fragment of the single
+# stderr line).  "{tmp}" is a directory holding accent.txt, a b-file with a
+# non-ASCII byte, and far.txt, a b-file whose last index no list can reach.
+# Huge ranges for kappa, whose table grows by comprehension, run under an
+# address-space limit in TestOutOfMemory instead.
+HOSTILE_ARGV = [
+    pytest.param(["gen", "--fn", "K", "--n", "0"], 2, "positive integer", id="gen-n-zero"),
+    pytest.param(["gen", "--fn", "K", "--n", "-5"], 2, "positive integer", id="gen-n-negative"),
+    pytest.param(["gen", "--fn", "K", "--n", str(10**24)], 2, "out of memory tabulating K", id="gen-n-huge"),
+    pytest.param(["gen", "--fn", "id", "--x", "5000", "--n", "10", "--format", "csv"], 0, None, id="gen-5001-digits"),
+    pytest.param(["check", "--n", "0"], 2, "positive integer", id="check-n-zero"),
+    pytest.param(["check", "--n", "10", "--x", ","], 2, "nonnegative exponent", id="check-x-empty"),
+    pytest.param(["check", "--n", "10", "--report", "{tmp}"], 2, "error:", id="check-report-directory"),
+    pytest.param(["oeis-compare", "--fn", "K", "--bfile", "{tmp}/absent.txt"], 2, "error:", id="compare-missing-file"),
+    pytest.param(["oeis-compare", "--fn", "K", "--bfile", "{tmp}"], 2, "error:", id="compare-directory"),
+    pytest.param(["oeis-compare", "--fn", "K", "--bfile", "{tmp}/accent.txt"], 2, "ascii", id="compare-non-ascii"),
+    pytest.param(["oeis-compare", "--fn", "K", "--bfile", "{tmp}/far.txt"], 2, "out of memory tabulating K", id="compare-index-huge"),
+    pytest.param(["series", "--x", "0", "--s", "nan"], 2, "finite", id="series-s-nan"),
+    pytest.param(["series", "--x", "0", "--s", "inf"], 2, "finite", id="series-s-inf"),
+    pytest.param(["series", "--x", "0", "--s=-inf"], 2, "finite", id="series-s-minus-inf"),
+    pytest.param(["series", "--x", "0", "--s", "3", "--tol", "nan"], 2, "tol must be positive", id="series-tol-nan"),
+    pytest.param(["series", "--x", "0", "--s", "3", "--tol", "-1"], 2, "tol must be positive", id="series-tol-negative"),
+    pytest.param(["series", "--x", "0", "--s", "3", "--n", "100", "--tol", "inf"], 0, None, id="series-tol-inf"),
+    pytest.param(["series", "--x", "0", "--s", "3", "--n", "0"], 2, "positive integer", id="series-n-zero"),
+    pytest.param(["series", "--x", "400", "--s", "402", "--n", "100"], 2, "double range at n = 6", id="series-float-overflow"),
+    pytest.param(["series", "--x", "0", "--s", "1.5", "--n", "10"], 1, "rho", id="series-below-pole"),
+    pytest.param(["series", "--x", "3", "--s", "3.5", "--n", "10"], 2, "diverges", id="series-numerator-diverges"),
+    pytest.param(["bench", "--n", "0"], 2, "positive integer", id="bench-n-zero"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, fragment", HOSTILE_ARGV)
+def test_no_exception_escapes_main(capsys, tmp_path, argv, expected, fragment):
+    (tmp_path / "accent.txt").write_bytes("1 1\n2 \u00e9\n".encode("utf-8"))
+    (tmp_path / "far.txt").write_text(f"1 1\n{10**24} 1\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    if expected == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1
+        assert fragment in err
+
+
 def _limit_address_space():
     # 1 GiB: room for the interpreter, far short of the tables asked for below
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -301,3 +368,12 @@ class TestOutOfMemory:
         proc = self.run_limited("oeis-compare", "--fn", "K", "--bfile", str(path))
         assert proc.returncode == 2
         assert proc.stderr == f"error: out of memory tabulating K on n = 1..{10**14}\n"
+
+    def test_kappa_past_any_list_exits_2_naming_the_range(self):
+        for argv, label in (
+            (["gen", "--fn", "kappa", "--x", "1", "--n", str(10**24)], "kappa_1"),
+            (["series", "--x", "0", "--s", "3", "--n", str(10**23)], "kappa_0"),
+        ):
+            proc = self.run_limited(*argv)
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: out of memory tabulating {label} on n = 1..{argv[-1]}\n"

@@ -82,6 +82,15 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta(math.nan)
 
+    def test_huge_s_returns_one(self):
+        # every term past 1/1^s underflows; the Bernoulli factors must not
+        # turn into inf * 0 = nan and keep the cutoff doubling forever
+        for s in (1100.0, 1e50, 1e308):
+            z = zeta(s)
+            assert z.s == s
+            assert z.value == 1.0
+            assert 0 < z.abs_error_bound <= 1e-12
+
 
 class TestZetaAgainstMpmath:
     def test_error_within_bound_near_one(self):
@@ -122,6 +131,14 @@ class TestDirichletPartialSum:
         f = gen_builtin("one", 10)
         with pytest.raises(ValueError):
             dirichlet_partial_sum(f, math.nan)
+
+    def test_term_past_the_double_range_names_its_n(self):
+        # 5^400 < 1.8e308 < 6^400: kappa_400(6) is the first term past it
+        f = gen_builtin("kappa", 10, x=400)
+        with pytest.raises(ValueError, match=r"kappa_400\(n\) / n\^2 .* at n = 6$"):
+            dirichlet_partial_sum(f, 2.0)
+        with pytest.raises(ValueError, match=r"one\(n\) / n\^-400 .* at n = 6$"):
+            dirichlet_partial_sum(gen_builtin("one", 10), -400.0)
 
 
 class TestFindSingularity:
@@ -185,6 +202,10 @@ class TestVerifyClosedForm:
             verify_closed_form(0, 3, 0)
         with pytest.raises(ValueError):
             verify_closed_form(0, 3, 100, tol=0.0)
+
+    def test_term_past_the_double_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"kappa_400\(n\) / n\^402 .* at n = 6$"):
+            verify_closed_form(400, 402, 100)
 
     def test_tiny_range_has_degenerate_checkpoints(self):
         report = verify_closed_form(0, 4, 2)
