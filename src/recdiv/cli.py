@@ -180,7 +180,10 @@ def cmd_series(args) -> int:
     trail = " -> ".join(f"{g:.3e}" for g in report.checkpoint_gaps)
     lengths = ", ".join(str(n) for n in report.checkpoint_lengths)
     word = "shrinking" if report.gap_shrinks else "NOT shrinking"
-    print(f"gap across n_max {{{lengths}}}: {trail} ({word})")
+    print(
+        f"gap across n_max {{{lengths}}}: {trail}"
+        f" ({word}; error budget {report.error_budget:.1e})"
+    )
     print(f"verdict: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

@@ -193,7 +193,7 @@ class TestSeries:
         code, out, _ = run(capsys, "series", "--x", "0", "--s", "3", "--n", "20000")
         assert code == 0
         assert "verdict: PASS" in out
-        assert "shrinking" in out
+        assert "shrinking; error budget " in out
 
     def test_domain_error_names_rho(self, capsys):
         code, _, err = run(capsys, "series", "--x", "0", "--s", "1.6")
@@ -228,10 +228,10 @@ class TestSeries:
         assert run(capsys, "series", "--x", "0")[0] == 2
 
     def test_huge_s_answers_at_once(self, capsys):
-        # zeta(1e308) = 1: the gap is 0 at every checkpoint, so not shrinking
+        # zeta(1e308) = 1: the gap is 0 at every checkpoint, inside the budget
         code, out, err = run(capsys, "series", "--x", "0", "--s", "1e308", "--n", "10")
-        assert code == 1
-        assert "verdict: FAIL" in out
+        assert code == 0
+        assert "verdict: PASS" in out
         assert err == ""
 
 

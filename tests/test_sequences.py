@@ -1,5 +1,8 @@
-import pytest
+import random
 from fractions import Fraction
+from math import isqrt
+
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -17,7 +20,9 @@ import golden_table as gt
 
 
 def brute_divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def brute_convolve(f_terms, g_terms):
@@ -26,6 +31,43 @@ def brute_convolve(f_terms, g_terms):
     for n in range(1, n_max + 1):
         out.append(sum(f_terms[d - 1] * g_terms[n // d - 1] for d in brute_divisors(n)))
     return out
+
+
+def brute_inverse(f_terms):
+    """g with f * g = epsilon by the ascending-n recursion over divisors."""
+    u = f_terms[0]
+    g = [u]
+    for n in range(2, len(f_terms) + 1):
+        g.append(-u * sum(f_terms[n // d - 1] * g[d - 1] for d in brute_divisors(n)[:-1]))
+    return g
+
+
+def brute_proper_divisor_sums(seed):
+    """v(n) = seed(n) + sum of v(d) over proper divisors d, ascending n."""
+    v = []
+    for n, a in enumerate(seed, start=1):
+        v.append(a + sum(v[d - 1] for d in brute_divisors(n)[:-1]))
+    return v
+
+
+# The kernels split at r = isqrt(N): every N up to 150, and N just below,
+# at and past r^2 (r^2 - 1, r^2, r^2 + r, r^2 + 2r) for three r.
+SPLIT_NS = list(range(1, 151)) + [
+    n for r in (10, 31, 64) for n in (r * r - 1, r * r, r * r + r, r * r + 2 * r)
+]
+
+
+def split_operands(n_max, seed):
+    """Random terms with zeros where the split turns: at d = 1, at some
+    d <= r, at d = r + 1 and at some d > r + 1."""
+    rng = random.Random(seed)
+    r = isqrt(n_max)
+    terms = [rng.randint(-9, 9) or 1 for _ in range(n_max)]
+    zeros = {1, rng.randint(1, r), r + 1, rng.randint(r + 1, 2 * r + 2)}
+    for d in zeros:
+        if d <= n_max:
+            terms[d - 1] = 0
+    return terms
 
 
 small_seqs = st.lists(st.integers(-50, 50), min_size=1, max_size=40)
@@ -198,6 +240,17 @@ class TestConvolution:
         with pytest.raises(ValueError, match="range"):
             dirichlet_convolve(ArithSeq([1, 2]), ArithSeq([1, 2, 3]))
 
+    def test_split_boundaries_against_brute_force(self):
+        for n_max in SPLIT_NS:
+            f = split_operands(n_max, n_max)
+            g = split_operands(n_max, -n_max)
+            g[0] = 3  # one operand is zero at 1, the other is not
+            expected = brute_convolve(f, g)
+            got = dirichlet_convolve(ArithSeq(f), ArithSeq(g)).terms()
+            assert got == expected, n_max
+            got = dirichlet_convolve(ArithSeq(g), ArithSeq(f)).terms()
+            assert got == expected, n_max
+
     @settings(max_examples=60)
     @given(small_seqs, small_seqs)
     def test_commutative(self, a, b):
@@ -251,6 +304,14 @@ class TestInverse:
         f = ArithSeq(terms)
         assert dirichlet_inverse(dirichlet_inverse(f)) == f
 
+    def test_split_boundaries_against_brute_force(self):
+        for n_max in SPLIT_NS:
+            for u in (1, -1):
+                f = split_operands(n_max, u * n_max)
+                f[0] = u
+                got = dirichlet_inverse(ArithSeq(f)).terms()
+                assert got == brute_inverse(f), (n_max, u)
+
     def test_negative_unit(self):
         f = ArithSeq([-1, 4, 7, -2])
         inv = dirichlet_inverse(f)
@@ -269,6 +330,15 @@ class TestRecursiveFamilies:
         for n in range(2, 501):
             assert seq[n] == sum(seq[d] for d in brute_divisors(n)[:-1])
         assert seq[1] == 1
+
+    def test_split_boundaries_against_the_recursion(self):
+        for n_max in SPLIT_NS:
+            seed = [1] + [0] * (n_max - 1)
+            assert gen_builtin("K", n_max).terms() == brute_proper_divisor_sums(seed), n_max
+            for x in range(4):
+                seed = [n**x for n in range(1, n_max + 1)]
+                got = gen_builtin("kappa", n_max, x=x).terms()
+                assert got == brute_proper_divisor_sums(seed), (n_max, x)
 
     def test_kappa_0_is_one_convolved_with_K(self):
         n = 10_000

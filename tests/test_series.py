@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from recdiv import series
 from recdiv.sequences import ArithSeq, dirichlet_inverse, gen_builtin
 from recdiv.series import (
     DivergenceError,
     SingularityDomainError,
+    ZetaValue,
     dirichlet_partial_sum,
     find_singularity,
     verify_closed_form,
@@ -140,6 +142,12 @@ class TestDirichletPartialSum:
         with pytest.raises(ValueError, match=r"one\(n\) / n\^-400 .* at n = 6$"):
             dirichlet_partial_sum(gen_builtin("one", 10), -400.0)
 
+    def test_inf_product_of_finite_doubles_names_its_n(self):
+        # 10^300 and 10^10 are finite doubles, their product is not
+        f = gen_builtin("id", 10, x=300)
+        with pytest.raises(ValueError, match=r"id_300\(n\) / n\^-10 .* at n = 10$"):
+            dirichlet_partial_sum(f, -10.0)
+
 
 class TestFindSingularity:
     def test_pinned_location(self):
@@ -206,6 +214,31 @@ class TestVerifyClosedForm:
     def test_term_past_the_double_range_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"kappa_400\(n\) / n\^402 .* at n = 6$"):
             verify_closed_form(400, 402, 100)
+
+    def test_agreement_to_roundoff_passes(self):
+        # the partial sums meet the closed form to double precision, so the
+        # gaps stop shrinking; within the error budget that is agreement
+        cases = [(0, 6, 10_000), (0, 8, 10_000), (3, 12, 10_000)]
+        cases += [(x, s, 1000) for x in (0, 1, 3) for s in (20, 25, 50, 1e3, 1e308)]
+        for x, s, n_max in cases:
+            report = verify_closed_form(x, s, n_max)
+            assert report.gap <= report.error_budget < 1e-12, (x, s, report)
+            assert report.gap_shrinks and report.passed, (x, s, report)
+
+    def test_gap_above_the_budget_must_shrink(self, monkeypatch):
+        # a closed form off by 1e-9 relative, with an honest-looking bound:
+        # the gaps sit above the budget and stay level, which is a mismatch
+        real_zeta = series.zeta
+
+        def skewed_zeta(s, tol=1e-12):
+            z = real_zeta(s, tol)
+            return ZetaValue(z.s, z.value * (1 + 1e-9), z.abs_error_bound)
+
+        monkeypatch.setattr(series, "zeta", skewed_zeta)
+        report = verify_closed_form(0, 8, 10_000)
+        assert report.error_budget < min(report.checkpoint_gaps)
+        assert not report.gap_shrinks
+        assert not report.passed
 
     def test_tiny_range_has_degenerate_checkpoints(self):
         report = verify_closed_form(0, 4, 2)
