@@ -3,15 +3,27 @@
 Parsing accepts the conventions found in real downloaded files, leading
 '#' comment lines and blank lines, but emission produces bare data lines
 only.  Indices must be positive and strictly increasing.
+
+A `BFile` holds two parallel columns, ``indices`` and ``values``, not a
+tuple per line.  Indices that run 1..n, as in every file `format_bfile`
+writes, are stored as ``range(1, n + 1)``, so a dense file costs one int
+object per line, its value.  Parsing splits the text into lines about
+1 MiB at a time, and formatting joins 4096 lines at a time, so the
+per-line strings of a whole file never exist at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 __all__ = ["BFile", "BFileParseError", "parse_bfile", "parse_bfile_text", "format_bfile"]
+
+# Characters of text per parse batch (about 1 MiB), and lines per format
+# batch (about 64 KiB of a 10^6-line kappa_1 file).
+_BATCH_CHARS = 1 << 20
+_BATCH_LINES = 1 << 12
 
 
 class BFileParseError(ValueError):
@@ -22,24 +34,60 @@ class BFileParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-@dataclass(frozen=True)
 class BFile:
-    """Parsed b-file: (index, value) entries plus where they came from."""
+    """Parsed b-file: parallel index and value columns plus where they came from.
 
-    entries: tuple[tuple[int, int], ...]
-    source_name: str = ""
+    ``BFile(entries, source_name)`` takes (index, value) pairs and checks
+    that the indices are positive and strictly increasing.  The columns
+    are shared, not copied: treat them as read-only.
+    """
 
-    def __post_init__(self):
-        prev = 0
-        for i, (idx, _) in enumerate(self.entries):
+    __slots__ = ("indices", "values", "source_name")
+
+    def __init__(self, entries: Iterable[tuple[int, int]], source_name: str = ""):
+        indices, values, prev = [], [], 0
+        for i, (idx, value) in enumerate(entries):
             if idx <= prev:
                 raise ValueError(
                     f"entry {i}: index {idx} not strictly increasing (after {prev})"
                 )
+            indices.append(idx)
+            values.append(value)
             prev = idx
+        self.indices: Sequence[int] = indices
+        self.values: Sequence[int] = values
+        self.source_name = source_name
+
+    @classmethod
+    def _from_columns(
+        cls, indices: Sequence[int], values: list[int], source_name: str
+    ) -> BFile:
+        # Internal: the parser has already checked the index order.
+        bf = cls.__new__(cls)
+        bf.indices, bf.values, bf.source_name = indices, values, source_name
+        return bf
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The (index, value) pairs, built on each access."""
+        return tuple(zip(self.indices, self.values))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
+
+
+def _line_batches(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()`` in consecutive pieces of about _BATCH_CHARS each.
+
+    Each cut falls just after a "\\n", which ends a line whether it stands
+    alone or closes "\\r\\n", so the pieces split into exactly the lines of
+    the whole text.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BATCH_CHARS) + 1 or len(text)
+        yield text[start:cut].splitlines()
+        start = cut
 
 
 def parse_bfile_text(text: str, source_name: str = "") -> BFile:
@@ -49,9 +97,11 @@ def parse_bfile_text(text: str, source_name: str = "") -> BFile:
     line must be exactly two integer tokens; the first token (the index)
     must be positive and strictly greater than the previous index.
     """
-    entries = []
+    indices, values = [], []
+    add_index, add_value = indices.append, values.append
     prev_index = 0
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    lines = chain.from_iterable(_line_batches(text))
+    for line_number, raw in enumerate(lines, start=1):
         try:
             index_token, value_token = raw.split()
             index, value = int(index_token), int(value_token)
@@ -74,9 +124,13 @@ def parse_bfile_text(text: str, source_name: str = "") -> BFile:
             raise BFileParseError(
                 f"index {index} does not increase past {prev_index}", line_number
             )
-        entries.append((index, value))
+        add_index(index)
+        add_value(value)
         prev_index = index
-    return BFile(tuple(entries), source_name)
+    if prev_index == len(indices):
+        # n strictly increasing positive indices ending at n are exactly 1..n.
+        indices = range(1, prev_index + 1)
+    return BFile._from_columns(indices, values, source_name)
 
 
 def parse_bfile(path: str | Path) -> BFile:
@@ -86,5 +140,8 @@ def parse_bfile(path: str | Path) -> BFile:
 
 def format_bfile(values: Iterable[int]) -> str:
     """Render values as b-file lines "n value" from n = 1, newline-terminated."""
-    lines = [f"{i} {v}" for i, v in enumerate(values, start=1)]
-    return "\n".join(lines) + "\n" if lines else ""
+    pairs = enumerate(values, start=1)
+    batches = []
+    while batch := "".join([f"{i} {v}\n" for i, v in islice(pairs, _BATCH_LINES)]):
+        batches.append(batch)
+    return "".join(batches)

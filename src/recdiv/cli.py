@@ -17,6 +17,8 @@ import json
 import os
 import sys
 import time
+from itertools import compress
+from operator import ne
 
 from . import oracles
 from .bfile import BFileParseError, format_bfile, parse_bfile
@@ -152,23 +154,22 @@ def cmd_check(args) -> int:
 
 def cmd_oeis_compare(args) -> int:
     bf = parse_bfile(args.bfile)
-    if not bf.entries:
+    indices, expected = bf.indices, bf.values
+    if not indices:
         print(f"{args.bfile}: no data lines; nothing to compare")
         return 0
-    top = bf.entries[-1][0]
-    seq = gen_builtin(args.fn, top, x=args.x)
+    seq = gen_builtin(args.fn, indices[-1], x=args.x)
     label = seq.label or args.fn
-    values = seq.terms()
-    for index, expected in bf.entries:
-        actual = values[index - 1]
-        if actual != expected:
-            print(
-                f"mismatch at index {index}: {label} gives {actual}, "
-                f"b-file {bf.source_name or args.bfile} has {expected}",
-                file=sys.stderr,
-            )
-            return 1
-    print(f"{label} agrees with {bf.source_name or args.bfile} on all {len(bf.entries)} entries")
+    padded = seq._vals  # f(n) at position n, read in C with no copy
+    index = next(compress(indices, map(ne, map(padded.__getitem__, indices), expected)), None)
+    if index is not None:
+        print(
+            f"mismatch at index {index}: {label} gives {padded[index]}, "
+            f"b-file {bf.source_name or args.bfile} has {expected[indices.index(index)]}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"{label} agrees with {bf.source_name or args.bfile} on all {len(indices)} entries")
     return 0
 
 

@@ -35,9 +35,10 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import islice
-from math import isqrt
+from math import inf, isqrt
 from operator import add
 from typing import Callable, Iterable, Iterator
 
@@ -268,7 +269,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     sigma, kappa); passing it for any other identifier is an error, as
     is omitting it for a parametric one.  Unknown identifiers raise
     ValueError.  A table too large for memory raises MemoryError naming
-    n_max.
+    n_max, up front when n_max terms at _TERM_BYTES each exceed the
+    memory the process may use.
     """
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
@@ -289,7 +291,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
         label = name
 
     try:
-        if n_max >= sys.maxsize:  # no list holds it: fail before one grows
+        # No list holds it, or it cannot fit: fail before the list grows.
+        if n_max >= sys.maxsize or n_max * _TERM_BYTES > _memory_limit():
             raise MemoryError
         if name == "epsilon":
             padded = [0] * (n_max + 1)
@@ -326,6 +329,28 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
         ) from None
 
     return ArithSeq._from_padded(padded, label)
+
+
+# Estimated bytes per tabulated term: a list pointer plus one int object
+# of a single 30-bit digit.  id and kappa with x >= 1 and the
+# multiplicative fills hold at least that; epsilon and one hold the
+# pointer alone.
+_TERM_BYTES = 8 + sys.getsizeof(1)
+
+
+def _memory_limit() -> float:
+    """Bytes this process may use: physical memory, capped by a soft RLIMIT_AS.
+
+    inf where the platform reports neither (both are Unix facilities).
+    """
+    try:
+        import resource
+
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ImportError, AttributeError, ValueError, OSError):
+        return inf
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
 
 
 def _multiplicative_fill(

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import Iterable
 
 from .sequences import ArithSeq, gen_builtin
 
@@ -168,7 +169,17 @@ def dirichlet_partial_sum(f: ArithSeq, s: float) -> SeriesPoint:
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("s must be a finite real number")
-    return SeriesPoint(s, f.n_max, math.fsum(_float_terms(f, s)))
+    return SeriesPoint(s, f.n_max, _fsum(_float_terms(f, s), f, s))
+
+
+def _fsum(terms: Iterable[float], f: ArithSeq, s: float) -> float:
+    """math.fsum, with a sum past the double range as a ValueError, not an OverflowError."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise ValueError(
+            f"the partial sum of {f.label or 'f'}(n) / n^{s:g} leaves the double range"
+        ) from None
 
 
 def _float_terms(f: ArithSeq, s: float) -> list[float]:
@@ -244,7 +255,7 @@ def verify_closed_form(
     f = gen_builtin("kappa", n_max, x=x)
     terms = _float_terms(f, s)
     lengths = sorted({max(1, n_max // 4), max(1, n_max // 2), n_max})
-    sums = [math.fsum(islice(terms, length)) for length in lengths]
+    sums = [_fsum(islice(terms, length), f, s) for length in lengths]
     gaps = [abs(total - closed) / abs(closed) for total in sums]
     shrinks = all(a > b or b <= budget for a, b in zip(gaps, gaps[1:]))
     gap = gaps[-1]

@@ -348,12 +348,12 @@ class TestOutOfMemory:
     # K's first allocation is a single [0] * (n + 1), which fails at once
     # under the limit instead of growing until the machine runs short.
 
-    def run_limited(self, *argv):
+    def run_limited(self, *argv, timeout=60):
         return subprocess.run(
             [sys.executable, "-m", "recdiv.cli", *argv],
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=timeout,
             preexec_fn=_limit_address_space,
         )
 
@@ -377,3 +377,18 @@ class TestOutOfMemory:
             proc = self.run_limited(*argv)
             assert proc.returncode == 2
             assert proc.stderr == f"error: out of memory tabulating {label} on n = 1..{argv[-1]}\n"
+
+    def test_table_past_the_limit_is_refused_before_it_grows(self, tmp_path):
+        # kappa_0's table starts as one pointer per term to the shared int 1,
+        # so an unguarded list grows for seconds before the limit stops it
+        # (3.3 s on a 2-vCPU host); the size guard refuses it at start-up.
+        path = tmp_path / "far.txt"
+        path.write_text(f"1 1\n{10**12} 1\n")
+        for argv, label in (
+            (["gen", "--fn", "kappa", "--x", "0", "--n", str(10**12)], "kappa_0"),
+            (["series", "--x", "0", "--s", "3", "--n", str(10**12)], "kappa_0"),
+            (["oeis-compare", "--fn", "kappa", "--x", "0", "--bfile", str(path)], "kappa_0"),
+        ):
+            proc = self.run_limited(*argv, timeout=1.5)
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: out of memory tabulating {label} on n = 1..{10**12}\n"

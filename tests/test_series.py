@@ -148,6 +148,12 @@ class TestDirichletPartialSum:
         with pytest.raises(ValueError, match=r"id_300\(n\) / n\^-10 .* at n = 10$"):
             dirichlet_partial_sum(f, -10.0)
 
+    def test_sum_past_the_double_range_is_a_value_error(self):
+        # every term is a finite double, their sum is not
+        message = r"^the partial sum of f\(n\) / n\^0 leaves the double range$"
+        with pytest.raises(ValueError, match=message):
+            dirichlet_partial_sum(ArithSeq([10**308] * 3), 0.0)
+
 
 class TestFindSingularity:
     def test_pinned_location(self):
@@ -214,6 +220,13 @@ class TestVerifyClosedForm:
     def test_term_past_the_double_range_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"kappa_400\(n\) / n\^402 .* at n = 6$"):
             verify_closed_form(400, 402, 100)
+
+    def test_checkpoint_sum_past_the_double_range_is_a_value_error(self, monkeypatch):
+        # 1.7e308 (1 + 2^-3) passes the largest double at the second term
+        huge = ArithSeq([int(1.7e308)] * 4, "kappa_0")
+        monkeypatch.setattr(series, "gen_builtin", lambda name, n_max, *, x: huge)
+        with pytest.raises(ValueError, match=r"kappa_0\(n\) / n\^3 leaves the double range$"):
+            verify_closed_form(0, 3, 4)
 
     def test_agreement_to_roundoff_passes(self):
         # the partial sums meet the closed form to double precision, so the
