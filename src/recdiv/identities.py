@@ -42,7 +42,7 @@ class SequencePool:
     """
 
     def __init__(self, n_max: int) -> None:
-        if n_max < 1:
+        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
             raise ValueError("n_max must be a positive integer")
         self.n_max = n_max
         self._seqs: dict[tuple[str, int | None], ArithSeq] = {}

@@ -9,7 +9,7 @@ slice update per d, above it one per multiplier m, so O(sqrt(N) log N)
 slice updates carry the O(N log N) operations, not N.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
 ``num_divisors``) are O(N): one step per n over the smallest-prime-factor
-table, itself an O(N log log N) sieve.  Nothing factorizes n in full.
+table, an O(N log log N) sieve writing one slice per prime up to sqrt(N).
 
 Built-in generators, by identifier (see `gen_builtin`):
 
@@ -218,7 +218,7 @@ class DivisorTable:
     __slots__ = ("n_max", "_spf")
 
     def __init__(self, n_max: int) -> None:
-        if n_max < 1:
+        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
             raise ValueError("n_max must be a positive integer")
         self.n_max = n_max
         self._spf = _spf_array(n_max)
@@ -250,11 +250,11 @@ def make_divisor_table(n_max: int) -> DivisorTable:
 
 def _spf_array(n_max: int) -> list[int]:
     spf = list(range(n_max + 1))
-    for p in range(2, isqrt(n_max) + 1):
-        if spf[p] == p:
-            for j in range(p * p, n_max + 1, p):
-                if spf[j] == j:
-                    spf[j] = p
+    # Descending p, so the smallest prime factor of a multiple writes last;
+    # spf[p] is not final yet, so trial division tells whether p is prime.
+    for p in range(isqrt(n_max), 1, -1):
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            spf[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
     return spf
 
 
@@ -272,7 +272,7 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     n_max, up front when n_max terms at _TERM_BYTES each exceed the
     memory the process may use.
     """
-    if n_max < 1:
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     if name not in BUILTIN_NAMES:
         raise ValueError(
@@ -359,31 +359,31 @@ def _multiplicative_fill(
     """Tabulate a multiplicative f in O(N) over the smallest-prime-factor table.
 
     ``factors(p)`` returns ``(new(p), same(p), back(p))`` and is called once
-    per prime.  Each n > 1 then takes one step over its smallest prime
-    factor p, with m = n/p:
+    per prime p, when the ascending fill reaches it, to set f(p) = new(p).
+    Each composite n then takes one step over its smallest prime factor p,
+    with m = n/p:
 
         f(n) = new(p) * f(m)                        if p does not divide m
         f(n) = same(p) * f(m) - back(p) * f(m/p)    otherwise
 
-    so on prime powers f(p) = new(p) and
-    f(p^e) = same(p) * f(p^(e-1)) - back(p) * f(p^(e-2)) for e >= 2.
+    so f(p^e) = same(p) * f(p^(e-1)) - back(p) * f(p^(e-2)) for e >= 2.
     """
     spf = _spf_array(n_max)
-    new = [0] * (n_max + 1)
-    same = [0] * (n_max + 1)
-    back = [0] * (n_max + 1)
-    for p in range(2, n_max + 1):
-        if spf[p] == p:
-            new[p], same[p], back[p] = factors(p)
+    coeffs: dict[int, tuple[int, int, int]] = {}
     f = [0] * (n_max + 1)
     f[1] = 1
     for n in range(2, n_max + 1):
         p = spf[n]
-        m = n // p
-        if m % p:
-            f[n] = new[p] * f[m]
+        if p == n:
+            triple = factors(p)
+            f[n] = triple[0]
+            # A composite n has spf[n]^2 <= n: no step needs a larger p.
+            if p * p <= n_max:
+                coeffs[p] = triple
         else:
-            f[n] = same[p] * f[m] - back[p] * f[m // p]
+            new, same, back = coeffs[p]
+            m = n // p
+            f[n] = new * f[m] if m % p else same * f[m] - back * f[m // p]
     return f
 
 
@@ -403,8 +403,10 @@ def _accumulate_proper_divisor_sums(vals: list[int]) -> None:
     for d in range(1, r + 1):
         vd = vals[d]
         if vd:
-            start = 2 * d
-            vals[start::d] = [v + vd for v in vals[start::d]]
+            # Pieces of 2^16 entries: no update copies the whole table.
+            for start in range(2 * d, n_max + 1, d << 16):
+                dst = slice(start, start + (d << 16), d)
+                vals[dst] = [v + vd for v in vals[dst]]
     lo = r + 1
     while lo <= n_max // 2:
         # Blocks of r, not dyadic blocks [lo, 2 lo): those take fewer slices
@@ -460,8 +462,10 @@ def dirichlet_convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
 def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
     """The g with f * g = epsilon, by ascending-n recursion.
 
-    g(n) is final once every proper divisor of n has propagated, so the
-    entries up to isqrt(N) go one at a time and the rest in dyadic blocks
+    The result list is the only table: until n is reached, g[n] sums
+    f(n/d) * g(d) over the proper divisors d of n, and once every one has
+    propagated, g(n) = -f(1) times that sum.  So the entries up to
+    isqrt(N) are finalised one at a time and the rest in dyadic blocks
     [lo, 2 lo), whose proper divisors all lie below lo: about 3 sqrt(N)
     slice updates and O(N log N) multiplications.  Requires f(1) in
     {+1, -1}; anything else raises NotAUnitError because the inverse
@@ -476,32 +480,27 @@ def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
     fv = f._vals
     g = [0] * (n_max + 1)
     g[1] = u
-    # acc[n] accumulates sum over proper divisors d of n of f(n/d) * g(d);
-    # once every d < n has propagated, g(n) = -u * acc[n].
-    acc = [0] * (n_max + 1)
     r = isqrt(n_max)
     for d in range(1, r + 1):
         if d > 1:
-            g[d] = -u * acc[d]
+            g[d] = -u * g[d]
         gd = g[d]
         if gd:
             start = 2 * d
-            acc[start::d] = [
+            g[start::d] = [
                 a + gd * fm
-                for a, fm in zip(acc[start::d], islice(fv, 2, n_max // d + 1))
+                for a, fm in zip(g[start::d], islice(fv, 2, n_max // d + 1))
             ]
     lo = r + 1
     while lo <= n_max:
         hi = min(2 * lo, n_max + 1)
-        g[lo:hi] = [-u * a for a in acc[lo:hi]]
+        g[lo:hi] = [-u * a for a in g[lo:hi]]
         for m in range(2, n_max // lo + 1):
             fm = fv[m]
             if fm:
                 top = min(hi - 1, n_max // m)
                 dst = slice(m * lo, m * top + 1, m)
-                acc[dst] = [
-                    a + fm * gd for a, gd in zip(acc[dst], g[lo : top + 1])
-                ]
+                g[dst] = [a + fm * gd for a, gd in zip(g[dst], g[lo : top + 1])]
         lo = hi
     return ArithSeq._from_padded(g, f"{f.label}^-1" if f.label else "inverse")
 

@@ -228,7 +228,7 @@ def verify_closed_form(
     """
     if isinstance(x, bool) or not isinstance(x, int) or x < 0:
         raise ValueError("x must be a nonnegative integer")
-    if n_max < 1:
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     s = float(s)
     if not math.isfinite(s):

@@ -167,3 +167,8 @@ class TestSequencePool:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             SequencePool(0)
+
+    @pytest.mark.parametrize("n_max", [True, 10.0])
+    def test_rejects_a_range_that_is_not_an_int(self, n_max):
+        with pytest.raises(ValueError, match="^n_max must be a positive integer$"):
+            SequencePool(n_max)

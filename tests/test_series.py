@@ -214,6 +214,9 @@ class TestVerifyClosedForm:
             verify_closed_form(True, 3, 100)
         with pytest.raises(ValueError):
             verify_closed_form(0, 3, 0)
+        for n_max in (True, 100.0):
+            with pytest.raises(ValueError, match="^n_max must be a positive integer$"):
+                verify_closed_form(0, 3.0, n_max)
         with pytest.raises(ValueError):
             verify_closed_form(0, 3, 100, tol=0.0)
 
