@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .sequences import ArithSeq, dirichlet_inverse, gen_builtin
+from .sequences import ArithSeq, _require_positive_int, dirichlet_inverse, gen_builtin
 
 __all__ = [
     "IdentityCheck",
@@ -42,8 +42,7 @@ class SequencePool:
     """
 
     def __init__(self, n_max: int) -> None:
-        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-            raise ValueError("n_max must be a positive integer")
+        _require_positive_int(n_max)
         self.n_max = n_max
         self._seqs: dict[tuple[str, int | None], ArithSeq] = {}
         self._invs: dict[tuple[str, int | None], ArithSeq] = {}

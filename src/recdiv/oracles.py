@@ -22,7 +22,13 @@ __all__ = [
 def clear_caches() -> None:
     """Reset the memo tables so a timing run starts cold."""
     _naive_kappa_memo.cache_clear()
-    count_ordered_factorizations.cache_clear()
+    _count_memo.cache_clear()
+
+
+def _require_int(v: object, low: int, message: str) -> None:
+    # As the sieves do: a bool or a float is not an integer argument.
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        raise ValueError(message)
 
 
 def _divisors_by_trial(n: int) -> list[int]:
@@ -44,8 +50,7 @@ def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
     n = 1 has exactly the empty product.  Tuples come back sorted, so the
     result is directly comparable against a hand enumeration.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _require_int(n, 1, "n must be a positive integer")
     if n == 1:
         return [()]
     out = []
@@ -58,7 +63,6 @@ def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def count_ordered_factorizations(n: int) -> int:
     """Number of ordered factorizations of n into parts >= 2.
 
@@ -66,13 +70,17 @@ def count_ordered_factorizations(n: int) -> int:
     divisor d >= 2 followed by a factorization of n/d, plus the empty
     product when n = 1.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _require_int(n, 1, "n must be a positive integer")
+    return _count_memo(n)
+
+
+# The memos sit behind the checks: lru_cache would answer 4.0 or True
+# from the entry for 4 or 1.
+@lru_cache(maxsize=None)
+def _count_memo(n: int) -> int:
     if n == 1:
         return 1
-    return sum(
-        count_ordered_factorizations(n // d) for d in _divisors_by_trial(n) if d >= 2
-    )
+    return sum(_count_memo(n // d) for d in _divisors_by_trial(n) if d >= 2)
 
 
 def naive_kappa(x: int, n: int) -> int:
@@ -80,10 +88,8 @@ def naive_kappa(x: int, n: int) -> int:
 
     value(n) = n**x + sum of value(d) over proper divisors d of n.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if x < 0:
-        raise ValueError("x must be a nonnegative integer")
+    _require_int(n, 1, "n must be a positive integer")
+    _require_int(x, 0, "x must be a nonnegative integer")
     return _naive_kappa_memo(x, n)
 
 
@@ -98,6 +104,5 @@ def _naive_kappa_memo(x: int, n: int) -> int:
 
 def naive_kappa_range(x: int, n_max: int) -> list[int]:
     """[naive_kappa(x, 1), ..., naive_kappa(x, n_max)]."""
-    if n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _require_int(n_max, 1, "n_max must be a positive integer")
     return [naive_kappa(x, n) for n in range(1, n_max + 1)]

@@ -2,9 +2,9 @@
 
 Every sequence is integer valued and tabulated on n = 1..n_max with
 Python's arbitrary-precision integers, so identity checks compare exact
-values and never round.  The recursive generators (``kappa``, ``K``) are
-sieves over multiples, O(N log N) additions in total.  They and the
-Dirichlet convolution and inverse split at r = isqrt(N): up to r one
+values and never round.  ``kappa``, ``K`` and the Dirichlet inverse are
+one sieve over multiples, a proper-divisor recursion of O(N log N) steps.
+It and the Dirichlet convolution split at r = isqrt(N): up to r one
 slice update per d, above it one per multiplier m, so O(sqrt(N) log N)
 slice updates carry the O(N log N) operations, not N.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
@@ -75,6 +75,14 @@ PARAMETRIC_NAMES = frozenset({"id", "jordan", "sigma", "kappa"})
 
 class NotAUnitError(ValueError):
     """f(1) is outside {+1, -1}, so no integer Dirichlet inverse exists."""
+
+
+def _require_positive_int(
+    v: object, message: str = "n_max must be a positive integer"
+) -> None:
+    """Raise ValueError(message) unless v is an int >= 1 (bools excluded)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(message)
 
 
 class ArithSeq:
@@ -218,8 +226,7 @@ class DivisorTable:
     __slots__ = ("n_max", "_spf")
 
     def __init__(self, n_max: int) -> None:
-        if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-            raise ValueError("n_max must be a positive integer")
+        _require_positive_int(n_max)
         self.n_max = n_max
         self._spf = _spf_array(n_max)
 
@@ -272,8 +279,7 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     n_max, up front when n_max terms at _TERM_BYTES each exceed the
     memory the process may use.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _require_positive_int(n_max)
     if name not in BUILTIN_NAMES:
         raise ValueError(
             f"unknown function identifier {name!r}; expected one of "
@@ -318,11 +324,11 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
             padded = _multiplicative_fill(n_max, lambda p: (1 + p**x, 1 + p**x, p**x))
         elif name == "kappa":
             padded = [0] + [n**x for n in range(1, n_max + 1)]
-            _accumulate_proper_divisor_sums(padded)
+            _proper_divisor_recursion(padded)
         else:  # K
             padded = [0] * (n_max + 1)
             padded[1] = 1
-            _accumulate_proper_divisor_sums(padded)
+            _proper_divisor_recursion(padded)
     except MemoryError:
         raise MemoryError(
             f"out of memory tabulating {label} on n = 1..{n_max}"
@@ -387,36 +393,53 @@ def _multiplicative_fill(
     return f
 
 
-def _accumulate_proper_divisor_sums(vals: list[int]) -> None:
-    """In place: vals[n] += sum of vals[d] over proper divisors d of n.
+def _proper_divisor_recursion(
+    vals: list[int], w: list[int] | None = None, c: int = 1
+) -> None:
+    """In place, for ascending n >= 2: vals[n] = c * (vals[n] + sum of
+    vals[d] * w[n/d] over proper divisors d of n), all weights 1 if w is None.
 
-    Ascending d keeps the recursion order explicit: when d is used as a
-    source its own proper-divisor contributions (all from d' < d) have
-    already landed, so vals[d] is final.  Above r = isqrt(N) the sources
-    go in blocks [lo, lo + r): every proper divisor of a block entry is at
-    most (lo + r - 1) / 2, below lo, so the whole block is final at once
-    and spreads to its m-th multiples in one slice per m: about
-    sqrt(N) ln(N) / 2 slices in all, instead of N / 2.
+    kappa_x and K are vals = id_x or epsilon with c = 1; the Dirichlet
+    inverse of f is vals = f(1) epsilon, w = f, c = -f(1).  Sums go in
+    unscaled, and c applies once an entry is final: once all its proper
+    divisors have spread into it.  Up to r = isqrt(N) that is one d at a
+    time, spreading to its d-stride in pieces of 2^16 entries so that no
+    update copies the whole table.  Above r, entries go in blocks
+    [lo, lo + r): their proper divisors are at most (lo + r - 1) / 2 < lo,
+    so a block is final at once and spreads in one slice per multiplier m.
+    O(N log N) operations in about sqrt(N) ln(N) / 2 slices above r, and
+    one per d and piece up to r.
     """
     n_max = len(vals) - 1
     r = isqrt(n_max)
     for d in range(1, r + 1):
+        if d > 1 and c != 1:
+            vals[d] *= c
         vd = vals[d]
         if vd:
-            # Pieces of 2^16 entries: no update copies the whole table.
-            for start in range(2 * d, n_max + 1, d << 16):
-                dst = slice(start, start + (d << 16), d)
-                vals[dst] = [v + vd for v in vals[dst]]
+            top = n_max // d
+            for m0 in range(2, top + 1, 1 << 16):
+                m1 = min(m0 + (1 << 16), top + 1)
+                dst = slice(m0 * d, m1 * d, d)
+                if w is None:
+                    vals[dst] = [v + vd for v in vals[dst]]
+                else:
+                    vals[dst] = [v + vd * wm for v, wm in zip(vals[dst], w[m0:m1])]
     lo = r + 1
-    while lo <= n_max // 2:
+    while lo <= n_max:
         # Blocks of r, not dyadic blocks [lo, 2 lo): those take fewer slices
         # but update up to N / 4 entries at once, and a run of many series
         # jobs then kept about 1.5 MiB more resident memory.
         hi = min(lo + r, n_max + 1)
+        if c != 1:
+            vals[lo:hi] = [c * v for v in vals[lo:hi]]
         for m in range(2, n_max // lo + 1):
             top = min(hi - 1, n_max // m)
             dst = slice(m * lo, m * top + 1, m)
-            vals[dst] = map(add, vals[dst], vals[lo : top + 1])
+            if w is None:
+                vals[dst] = map(add, vals[dst], vals[lo : top + 1])
+            elif wm := w[m]:
+                vals[dst] = [v + wm * vd for v, vd in zip(vals[dst], vals[lo : top + 1])]
         lo = hi
 
 
@@ -460,14 +483,11 @@ def dirichlet_convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
 
 
 def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
-    """The g with f * g = epsilon, by ascending-n recursion.
+    """The g with f * g = epsilon: g(1) = f(1), and g(n) = -f(1) times the
+    sum of f(n/d) g(d) over proper divisors d of n.
 
-    The result list is the only table: until n is reached, g[n] sums
-    f(n/d) * g(d) over the proper divisors d of n, and once every one has
-    propagated, g(n) = -f(1) times that sum.  So the entries up to
-    isqrt(N) are finalised one at a time and the rest in dyadic blocks
-    [lo, 2 lo), whose proper divisors all lie below lo: about 3 sqrt(N)
-    slice updates and O(N log N) multiplications.  Requires f(1) in
+    The result list is the only table; `_proper_divisor_recursion` fills
+    it with weights f, as it sieves kappa and K.  Requires f(1) in
     {+1, -1}; anything else raises NotAUnitError because the inverse
     would leave the integers.
     """
@@ -476,32 +496,9 @@ def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
         raise NotAUnitError(
             f"f(1) = {u} is not +1 or -1; the sequence has no integer inverse"
         )
-    n_max = f.n_max
-    fv = f._vals
-    g = [0] * (n_max + 1)
+    g = [0] * (f.n_max + 1)
     g[1] = u
-    r = isqrt(n_max)
-    for d in range(1, r + 1):
-        if d > 1:
-            g[d] = -u * g[d]
-        gd = g[d]
-        if gd:
-            start = 2 * d
-            g[start::d] = [
-                a + gd * fm
-                for a, fm in zip(g[start::d], islice(fv, 2, n_max // d + 1))
-            ]
-    lo = r + 1
-    while lo <= n_max:
-        hi = min(2 * lo, n_max + 1)
-        g[lo:hi] = [-u * a for a in g[lo:hi]]
-        for m in range(2, n_max // lo + 1):
-            fm = fv[m]
-            if fm:
-                top = min(hi - 1, n_max // m)
-                dst = slice(m * lo, m * top + 1, m)
-                g[dst] = [a + fm * gd for a, gd in zip(g[dst], g[lo : top + 1])]
-        lo = hi
+    _proper_divisor_recursion(g, f._vals, -u)
     return ArithSeq._from_padded(g, f"{f.label}^-1" if f.label else "inverse")
 
 
@@ -520,8 +517,7 @@ def series_partial(kind: str, m: int, n_max: int, *, x: int | None = None) -> Ra
     """
     if kind not in ("kappa", "K"):
         raise ValueError(f"kind must be 'kappa' or 'K', got {kind!r}")
-    if m < 1:
-        raise ValueError("term count m must be at least 1")
+    _require_positive_int(m, "term count m must be at least 1")
     if kind == "kappa":
         if x is None:
             raise ValueError("kind 'kappa' requires the exponent x")

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable
 
-from .sequences import ArithSeq, gen_builtin
+from .sequences import ArithSeq, _require_positive_int, gen_builtin
 
 __all__ = [
     "ZetaValue",
@@ -228,8 +228,7 @@ def verify_closed_form(
     """
     if isinstance(x, bool) or not isinstance(x, int) or x < 0:
         raise ValueError("x must be a nonnegative integer")
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    _require_positive_int(n_max)
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("s must be a finite real number")

@@ -88,6 +88,32 @@ class TestNaiveKappa:
             naive_kappa_range(1, 0)
 
 
+BAD_CALLS = [
+    (naive_kappa, (0, 2.0)),
+    (naive_kappa, (True, 4)),
+    (naive_kappa, (0.0, 4)),
+    (naive_kappa_range, (0, True)),
+    (naive_kappa_range, (0, 3.0)),
+    (count_ordered_factorizations, (4.0,)),
+    (count_ordered_factorizations, (True,)),
+    (ordered_factorizations, (True,)),
+    (ordered_factorizations, (8.0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    BAD_CALLS,
+    ids=[f"{fn.__name__}{args}" for fn, args in BAD_CALLS],
+)
+def test_rejects_bool_and_non_integer_arguments(fn, args):
+    # The memos must not answer 4.0 or True from the entries for 4 or 1.
+    count_ordered_factorizations(4)
+    naive_kappa(0, 4)
+    with pytest.raises(ValueError, match="must be a (positive|nonnegative) integer$"):
+        fn(*args)
+
+
 def test_clear_caches_keeps_results_stable():
     before = naive_kappa(1, 360)
     count_before = count_ordered_factorizations(360)

@@ -288,6 +288,10 @@ class TestMemory:
     # three N-length coefficient lists in the fill and whole-table strides
     # in the sieve; 51.0 and 55.9 without them.
     BYTES_PER_TERM = 64
+    # The same for the inverse of K, its operand excluded: 29.7 with
+    # dyadic blocks of up to N/2 entries scaled at once, 24.1 with the
+    # sieve's width-r blocks.
+    INVERSE_BYTES_PER_TERM = 27
 
     @pytest.mark.parametrize("name", ["sigma", "kappa"])
     def test_peak_per_term(self, name):
@@ -300,6 +304,18 @@ class TestMemory:
             tracemalloc.stop()
         del seq
         assert peak / n < self.BYTES_PER_TERM
+
+    def test_inverse_peak_per_term(self):
+        n = 200_000
+        f = gen_builtin("K", n)
+        tracemalloc.start()
+        try:
+            inv = dirichlet_inverse(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del inv
+        assert peak / n < self.INVERSE_BYTES_PER_TERM
 
 
 class TestConvolution:
@@ -405,6 +421,15 @@ class TestInverse:
         inv = dirichlet_inverse(f)
         assert dirichlet_convolve(f, inv) == gen_builtin("epsilon", 4)
 
+    def test_across_the_recursion_pieces(self):
+        # The inverse shares the sieve's recursion: at this N the strides
+        # d = 1, 2 and 3 take more than one 2^16-entry piece.  f(1) = 1
+        # scales each final entry by -1; f(1) = -1 leaves it as summed.
+        n_max = 3 * 2**16 + 16
+        eps = gen_builtin("epsilon", n_max)
+        for f in (gen_builtin("K", n_max), -1 * gen_builtin("kappa", n_max, x=1)):
+            assert dirichlet_convolve(f, dirichlet_inverse(f)) == eps, f.label
+
 
 class TestRecursiveFamilies:
     def test_kappa_satisfies_its_recursion(self):
@@ -483,8 +508,9 @@ class TestSeriesPartial:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             series_partial("sigma", 5, 10)
-        with pytest.raises(ValueError, match="at least 1"):
-            series_partial("K", 0, 10)
+        for m in (0, True, 2.0):
+            with pytest.raises(ValueError, match="^term count m must be at least 1$"):
+                series_partial("K", m, 10)
         with pytest.raises(ValueError, match="requires the exponent"):
             series_partial("kappa", 5, 10)
         with pytest.raises(ValueError, match="takes no exponent"):
