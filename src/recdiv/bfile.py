@@ -138,9 +138,12 @@ def parse_bfile(path: str | Path) -> BFile:
     return parse_bfile_text(path.read_text(encoding="ascii"), source_name=path.name)
 
 
-def format_bfile(values: Iterable[int]) -> str:
-    """Render values as b-file lines "n value" from n = 1, newline-terminated."""
-    pairs = enumerate(values, start=1)
+def format_bfile(values: Iterable[int], start: int = 1) -> str:
+    """Render values as b-file lines "n value" from n = start, newline-terminated.
+
+    ``start`` lets a writer format a long table a slice at a time.
+    """
+    pairs = enumerate(values, start)
     batches = []
     while batch := "".join([f"{i} {v}\n" for i, v in islice(pairs, _BATCH_LINES)]):
         batches.append(batch)

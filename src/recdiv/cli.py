@@ -30,6 +30,9 @@ __all__ = ["main", "build_parser"]
 
 _JSON_SAFE_MAX = (1 << 53) - 1
 
+# b-file lines `gen` formats and writes per slice (about 64 KiB of kappa_1).
+_BFILE_LINES = 1 << 12
+
 _EPILOG = """\
 json encoding:
   integer values whose magnitude exceeds 2^53 - 1 are emitted as decimal
@@ -102,7 +105,10 @@ def cmd_gen(args) -> int:
     elif args.format == "json":
         sys.stdout.write(json.dumps([_json_value(v) for v in seq]) + "\n")
     else:
-        sys.stdout.write(format_bfile(seq))
+        # A slice of lines at a time, so the whole text never exists at once.
+        padded = seq._vals
+        for lo in range(1, seq.n_max + 1, _BFILE_LINES):
+            sys.stdout.write(format_bfile(padded[lo : lo + _BFILE_LINES], start=lo))
     return 0
 
 

@@ -89,6 +89,8 @@ def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | No
     """First index where the sequences differ, with both values, else None."""
     lhs._require_same_range(rhs)
     lv, rv = lhs._vals, rhs._vals
+    if lv == rv:  # one compare in C; a Python loop only to place a mismatch
+        return None
     for n in range(1, lhs.n_max + 1):
         if lv[n] != rv[n]:
             return n, lv[n], rv[n]

@@ -6,7 +6,11 @@ values and never round.  ``kappa``, ``K`` and the Dirichlet inverse are
 one sieve over multiples, a proper-divisor recursion of O(N log N) steps.
 It and the Dirichlet convolution split at r = isqrt(N): up to r one
 slice update per d, above it one per multiplier m, so O(sqrt(N) log N)
-slice updates carry the O(N log N) operations, not N.  The five
+slice updates carry the O(N log N) operations, not N.  For kappa and K
+the table sits in an ``array`` of 4-byte, else 8-byte lanes, and each
+slice update is one addition of Python ints holding the lanes as
+fixed-width fields, checked after every add for a carry across lanes;
+values past 8 bytes take the exact list kernel.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
 ``num_divisors``) are O(N): one step per n over the smallest-prime-factor
 table, an O(N log log N) sieve writing one slice per prime up to sqrt(N).
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
+from itertools import islice, repeat
 from math import inf, isqrt
 from operator import add
 from typing import Callable, Iterable, Iterator
@@ -195,8 +199,14 @@ class RatSeq:
         nums = list(numerators)
         if not nums:
             raise ValueError("a RatSeq needs at least one entry (n_max >= 1)")
-        if denominator_exponent < 0:
-            raise ValueError("denominator exponent must be nonnegative")
+        for v in nums:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"numerators must be exact integers, got {v!r}")
+        e = denominator_exponent
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            raise ValueError(
+                f"denominator exponent must be a nonnegative integer, got {e!r}"
+            )
         self.n_max = len(nums)
         self.denominator_exponent = denominator_exponent
         self._nums = [0] + nums
@@ -322,13 +332,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
             # sigma_x(p^e) = (1 + p^x) sigma_x(p^(e-1)) - p^x sigma_x(p^(e-2));
             # independent of kappa and of one * id_x, which identities compare it to.
             padded = _multiplicative_fill(n_max, lambda p: (1 + p**x, 1 + p**x, p**x))
-        elif name == "kappa":
-            padded = [0] + [n**x for n in range(1, n_max + 1)]
-            _proper_divisor_recursion(padded)
-        else:  # K
-            padded = [0] * (n_max + 1)
-            padded[1] = 1
-            _proper_divisor_recursion(padded)
+        else:  # kappa, or K with x None
+            padded = _recursive_family(n_max, x)
     except MemoryError:
         raise MemoryError(
             f"out of memory tabulating {label} on n = 1..{n_max}"
@@ -393,13 +398,113 @@ def _multiplicative_fill(
     return f
 
 
+def _recursive_family(n_max: int, x: int | None) -> list[int]:
+    """kappa_x, or K when x is None, on 0..n_max with a 0 pad at 0.
+
+    The seed (id_x, or epsilon for K) goes into 4-byte lanes, else 8-byte
+    lanes, and `_lane_recursion` sieves it there; a seed value past a
+    lane's signed range (OverflowError) or a sum that sets a lane's top
+    bit moves on to the next width, from the seed again.  Values past
+    8 bytes go to the exact list kernel, `_proper_divisor_recursion`.
+    """
+    from array import array  # a shared library: loaded on first use, not at import
+
+    for code in _LANE_CODES:
+        try:
+            if x is None:
+                lanes = array(code, [0]) * (n_max + 1)
+                lanes[1] = 1
+            else:
+                # One allocation, filled in pieces: no N-length list beside
+                # it, and no growing buffer to leave holes in the heap.
+                lanes = array(code, [0]) * (n_max + 1)
+                for lo in range(1, n_max + 1, 1 << 16):
+                    hi = min(lo + (1 << 16), n_max + 1)
+                    lanes[lo:hi] = array(code, map(pow, range(lo, hi), repeat(x)))
+        except OverflowError:
+            continue
+        if _lane_recursion(lanes):
+            return lanes.tolist()
+    if x is None:
+        vals = [0] * (n_max + 1)
+        vals[1] = 1
+    else:
+        vals = [0] + [n**x for n in range(1, n_max + 1)]
+    _proper_divisor_recursion(vals)
+    return vals
+
+
+# Signed 4-byte, then 8-byte lanes (C int and long long), tried in order.
+_LANE_CODES = ("i", "q")
+
+
+def _lane_recursion(a: array.array) -> bool:
+    """In place, the unweighted `_proper_divisor_recursion` on the lanes of a.
+
+    The same split at r = isqrt(N), the same 2^16-entry pieces up to r and
+    width-r blocks above it, but each slice update is one addition of two
+    Python ints that hold the slice's lanes as fixed-width fields:
+    ``from_bytes(a[dst]) + from_bytes(src)``, or ``+ vd * ones`` for a
+    scalar, written back with ``to_bytes``.  The addition is exact lane by
+    lane as long as no lane carries into the next, and the kernel checks
+    that while it runs.  Every lane is below 2^(b-1) before an add: the
+    signed typecode holds no larger seed, and ``t & high`` (the top bit of
+    every lane) is 0 after each add.  So no two-lane sum reaches 2^b and
+    no carry crosses a lane.  Returns False, a part written, as soon as a
+    sum sets a top bit: the values need wider lanes.
+    """
+    from array import array
+
+    n_max = len(a) - 1
+    r = isqrt(n_max)
+    code, width = a.typecode, a.itemsize
+    bits = 8 * width
+    # Masks per call, sized to the longest update: no work at import.
+    lanes = max(min(1 << 16, n_max // 2), r)
+    ones = int.from_bytes(array(code, [1]) * lanes, _BYTEORDER)
+    high = ones << (bits - 1)
+    from_bytes = int.from_bytes
+    for d in range(1, r + 1):
+        vd = a[d]
+        if vd:
+            top = n_max // d
+            for m0 in range(2, top + 1, lanes):
+                k = min(lanes, top + 1 - m0)
+                dst = slice(m0 * d, (m0 + k) * d, d)
+                t = from_bytes(a[dst], _BYTEORDER) + vd * (ones >> bits * (lanes - k))
+                if t & high:
+                    return False
+                a[dst] = array(code, t.to_bytes(width * k, _BYTEORDER))
+    lo = r + 1
+    while lo <= n_max:
+        hi = min(lo + r, n_max + 1)
+        src_top = 0
+        for m in range(2, n_max // lo + 1):
+            top = min(hi - 1, n_max // m)
+            if top != src_top:
+                # Whole-block sources repeat for every m up to N / (hi - 1).
+                src, src_top = from_bytes(a[lo : top + 1], _BYTEORDER), top
+            dst = slice(m * lo, m * top + 1, m)
+            t = from_bytes(a[dst], _BYTEORDER) + src
+            if t & high:
+                return False
+            a[dst] = array(code, t.to_bytes(width * (top + 1 - lo), _BYTEORDER))
+        lo = hi
+    return True
+
+
+# The lanes are native machine words; read and write them in native order.
+_BYTEORDER = sys.byteorder
+
+
 def _proper_divisor_recursion(
     vals: list[int], w: list[int] | None = None, c: int = 1
 ) -> None:
     """In place, for ascending n >= 2: vals[n] = c * (vals[n] + sum of
     vals[d] * w[n/d] over proper divisors d of n), all weights 1 if w is None.
 
-    kappa_x and K are vals = id_x or epsilon with c = 1; the Dirichlet
+    kappa_x and K are vals = id_x or epsilon with c = 1, here when their
+    values pass 8-byte lanes (see `_lane_recursion`); the Dirichlet
     inverse of f is vals = f(1) epsilon, w = f, c = -f(1).  Sums go in
     unscaled, and c applies once an entry is final: once all its proper
     divisors have spread into it.  Up to r = isqrt(N) that is one d at a

@@ -88,6 +88,9 @@ class TestFormat:
     def test_empty(self):
         assert format_bfile([]) == ""
 
+    def test_numbering_from_start(self):
+        assert format_bfile([4, 5], start=9) == "9 4\n10 5\n"
+
     def test_round_trip(self):
         values = [3, -1, 0, 10**30, 42]
         bf = parse_bfile_text(format_bfile(values))

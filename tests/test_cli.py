@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,8 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 from recdiv.cli import _json_value, main
 from recdiv.identities import IdentityReport
-from recdiv.sequences import BUILTIN_NAMES, PARAMETRIC_NAMES
+from recdiv.bfile import format_bfile
+from recdiv.sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, gen_builtin
 
 
 def run(capsys, *argv):
@@ -32,6 +34,15 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--fn", "epsilon", "--n", "3", "--format", "bfile")
         assert code == 0
         assert out == "1 1\n2 0\n3 0\n"
+
+    def test_bfile_is_written_a_slice_at_a_time(self, monkeypatch):
+        # Lines 1..2*4096+5 in three writes, numbered on across the slices.
+        n = 2 * 4096 + 5
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+        assert main(["gen", "--fn", "K", "--n", str(n), "--format", "bfile"]) == 0
+        assert [w.count("\n") for w in writes] == [4096, 4096, 5]
+        assert "".join(writes) == format_bfile(gen_builtin("K", n))
 
     def test_json_K(self, capsys):
         code, out, _ = run(capsys, "gen", "--fn", "K", "--n", "12", "--format", "json")
@@ -279,6 +290,18 @@ class TestTopLevel:
             stderr=subprocess.PIPE,
         )
         assert proc.stdout.readline() == b"n,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+    def test_closed_pipe_mid_bfile_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "recdiv.cli", "gen", "--fn", "K", "--n", "50000", "--format", "bfile"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1 1\n"
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0

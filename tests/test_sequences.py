@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from math import isqrt
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from recdiv import sequences
 from recdiv.oracles import naive_kappa
 from recdiv.sequences import (
     ArithSeq,
     NotAUnitError,
+    RatSeq,
     dirichlet_convolve,
     dirichlet_inverse,
     gen_builtin,
@@ -286,7 +289,9 @@ class TestMemory:
     # Peak bytes allocated per term while tabulating n = 1..2*10^5, the
     # result included.  CPython 3.11: sigma_1 83.5 and kappa_1 88.0 with
     # three N-length coefficient lists in the fill and whole-table strides
-    # in the sieve; 51.0 and 55.9 without them.
+    # in the sieve; 51.0 and 55.9 without them.  kappa_1 44.2 in 4-byte
+    # lanes (kappa_0 16.1 to 19.4, K 13.7 to 17.6: the list path holds only
+    # pointers to cached small ints for them, the lanes 4 bytes more).
     BYTES_PER_TERM = 64
     # The same for the inverse of K, its operand excluded: 29.7 with
     # dyadic blocks of up to N/2 entries scaled at once, 24.1 with the
@@ -477,6 +482,91 @@ class TestRecursiveFamilies:
         assert seq[2048] == naive_kappa(6, 2048)
 
 
+def recursion_seed(n_max, x):
+    """id_x, or epsilon when x is None, on 0..n_max with a 0 pad."""
+    if x is None:
+        return [0, 1] + [0] * (n_max - 1)
+    return [0] + [n**x for n in range(1, n_max + 1)]
+
+
+def list_kernel(n_max, x):
+    vals = recursion_seed(n_max, x)
+    sequences._proper_divisor_recursion(vals)
+    return vals
+
+
+def lane_kernel(n_max, x, code):
+    """The lane sieve in one width: its table, or None if the values outgrow it."""
+    try:
+        lanes = array(code, recursion_seed(n_max, x))
+    except OverflowError:
+        return None
+    return lanes.tolist() if sequences._lane_recursion(lanes) else None
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record each lane run as (typecode, finished) and each list-kernel run."""
+    calls = []
+    lane, exact = sequences._lane_recursion, sequences._proper_divisor_recursion
+
+    def lane_spy(a):
+        finished = lane(a)
+        calls.append((a.typecode, finished))
+        return finished
+
+    def exact_spy(vals, *args):
+        calls.append("list")
+        return exact(vals, *args)
+
+    monkeypatch.setattr(sequences, "_lane_recursion", lane_spy)
+    monkeypatch.setattr(sequences, "_proper_divisor_recursion", exact_spy)
+    return calls
+
+
+class TestLaneKernel:
+    def test_matches_the_list_kernel(self):
+        finished = set()
+        for n_max in SPLIT_NS + [3 * 2**16 + 16]:
+            for x in [None, *range(6)]:
+                expected = list_kernel(n_max, x)
+                for code in sequences._LANE_CODES:
+                    got = lane_kernel(n_max, x, code)
+                    if got is not None:
+                        finished.add(code)
+                        assert got == expected, (n_max, x, code)
+                name = "K" if x is None else "kappa"
+                assert gen_builtin(name, n_max, x=x)._vals == expected, (n_max, x)
+        assert finished == set(sequences._LANE_CODES)
+
+    def test_fast_path_is_taken(self, kernel_calls):
+        # kappa_1 at 10^4 fits 4-byte lanes: no wider lanes, no list kernel.
+        seq = gen_builtin("kappa", 10**4, x=1)
+        assert kernel_calls == [("i", True)]
+        assert seq._vals == list_kernel(10**4, 1)
+
+    def test_widening_mid_run(self, kernel_calls):
+        # 40000^2 < 2^31, so id_2 fits 4-byte lanes, but kappa_2 passes 2^31
+        # during the sieve: the 8-byte lanes start again and finish it.
+        n_max = 40_000
+        assert n_max**2 < 2**31
+        seq = gen_builtin("kappa", n_max, x=2)
+        assert kernel_calls == [("i", False), ("q", True)]
+        assert max(seq) >= 2**31
+        assert seq._vals == list_kernel(n_max, 2)
+
+    def test_fallback_mid_run(self, kernel_calls):
+        # 55000^4 < 2^63 fits 8-byte lanes (not 4-byte ones, at build), but
+        # kappa_4 passes 2^63 from n = 54000: the list kernel finishes it.
+        n_max = 55_000
+        assert n_max**4 < 2**63
+        seq = gen_builtin("kappa", n_max, x=4)
+        assert kernel_calls == [("q", False), "list"]
+        assert seq[54_000] >= 2**63
+        for n in range(54_000, 54_010):
+            assert seq[n] == n**4 + sum(seq[d] for d in brute_divisors(n)[:-1]), n
+
+
 class TestSeriesPartial:
     def test_hand_computed_first_terms(self):
         # kappa, x=0, one term: numerators are id_0 over 2^1
@@ -515,6 +605,14 @@ class TestSeriesPartial:
             series_partial("kappa", 5, 10)
         with pytest.raises(ValueError, match="takes no exponent"):
             series_partial("K", 5, 10, x=0)
+
+    @pytest.mark.parametrize(
+        "numerators, exponent",
+        [([1, 2], True), ([1.5], 2), ([1], 2.0), ([True, 2], 1), ([1], -1)],
+    )
+    def test_rat_seq_rejects_inexact_input(self, numerators, exponent):
+        with pytest.raises(ValueError, match="exact integers|nonnegative integer"):
+            RatSeq(numerators, exponent)
 
     def test_rat_seq_equality_across_denominators(self):
         # 1/2 == 2/4 elementwise even though exponents differ
