@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, Sequence
 __all__ = ["BFile", "BFileParseError", "parse_bfile", "parse_bfile_text", "format_bfile"]
 
 # Characters of text per parse batch (about 1 MiB), and lines per format
-# batch (about 64 KiB of a 10^6-line kappa_1 file).
+# batch (about 64 KiB of a 10^6-line kappa_1 file), also the slice of a
+# table that `recdiv gen` formats and writes at a time.
 _BATCH_CHARS = 1 << 20
 _BATCH_LINES = 1 << 12
 

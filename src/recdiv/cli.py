@@ -21,7 +21,7 @@ from itertools import compress
 from operator import ne
 
 from . import oracles
-from .bfile import BFileParseError, format_bfile, parse_bfile
+from .bfile import _BATCH_LINES, BFileParseError, format_bfile, parse_bfile
 from .identities import check_all, registered_codes
 from .sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, gen_builtin
 from .series import DivergenceError, SingularityDomainError, verify_closed_form
@@ -29,9 +29,6 @@ from .series import DivergenceError, SingularityDomainError, verify_closed_form
 __all__ = ["main", "build_parser"]
 
 _JSON_SAFE_MAX = (1 << 53) - 1
-
-# b-file lines `gen` formats and writes per slice (about 64 KiB of kappa_1).
-_BFILE_LINES = 1 << 12
 
 _EPILOG = """\
 json encoding:
@@ -105,10 +102,10 @@ def cmd_gen(args) -> int:
     elif args.format == "json":
         sys.stdout.write(json.dumps([_json_value(v) for v in seq]) + "\n")
     else:
-        # A slice of lines at a time, so the whole text never exists at once.
+        # A batch of lines at a time, so the whole text never exists at once.
         padded = seq._vals
-        for lo in range(1, seq.n_max + 1, _BFILE_LINES):
-            sys.stdout.write(format_bfile(padded[lo : lo + _BFILE_LINES], start=lo))
+        for lo in range(1, seq.n_max + 1, _BATCH_LINES):
+            sys.stdout.write(format_bfile(padded[lo : lo + _BATCH_LINES], start=lo))
     return 0
 
 

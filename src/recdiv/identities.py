@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .sequences import ArithSeq, _require_positive_int, dirichlet_inverse, gen_builtin
+from .sequences import ArithSeq, _require_int, dirichlet_inverse, gen_builtin
 
 __all__ = [
     "IdentityCheck",
@@ -42,7 +42,7 @@ class SequencePool:
     """
 
     def __init__(self, n_max: int) -> None:
-        _require_positive_int(n_max)
+        _require_int(n_max)
         self.n_max = n_max
         self._seqs: dict[tuple[str, int | None], ArithSeq] = {}
         self._invs: dict[tuple[str, int | None], ArithSeq] = {}
@@ -239,8 +239,7 @@ def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
     if not xs:
         raise ValueError("exponent_set must be nonempty")
     for v in xs:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"exponents must be nonnegative integers, got {v!r}")
+        _require_int(v, 0, f"exponents must be nonnegative integers, got {v!r}")
     pool = SequencePool(n_max)
     reports = []
     for code in sorted(REGISTRY):

@@ -3,14 +3,16 @@
 Every sequence is integer valued and tabulated on n = 1..n_max with
 Python's arbitrary-precision integers, so identity checks compare exact
 values and never round.  ``kappa``, ``K`` and the Dirichlet inverse are
-one sieve over multiples, a proper-divisor recursion of O(N log N) steps.
+one sieve over multiples, a proper-divisor recursion of O(N log N) steps
+whose slice updates come in one order, from `_recursion_updates`.
 It and the Dirichlet convolution split at r = isqrt(N): up to r one
 slice update per d, above it one per multiplier m, so O(sqrt(N) log N)
 slice updates carry the O(N log N) operations, not N.  For kappa and K
-the table sits in an ``array`` of 4-byte, else 8-byte lanes, and each
+the table starts in an ``array`` of 4-byte, else 8-byte lanes, and each
 slice update is one addition of Python ints holding the lanes as
-fixed-width fields, checked after every add for a carry across lanes;
-values past 8 bytes take the exact list kernel.  The five
+fixed-width fields.  An update that would carry across lanes is left
+unwritten; the table widens in place to 8-byte lanes, or past those to
+a list, and the run resumes with that update.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
 ``num_divisors``) are O(N): one step per n over the smallest-prime-factor
 table, an O(N log log N) sieve writing one slice per prime up to sqrt(N).
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import inf, isqrt
 from operator import add
 from typing import Callable, Iterable, Iterator
@@ -81,11 +83,11 @@ class NotAUnitError(ValueError):
     """f(1) is outside {+1, -1}, so no integer Dirichlet inverse exists."""
 
 
-def _require_positive_int(
-    v: object, message: str = "n_max must be a positive integer"
+def _require_int(
+    v: object, low: int = 1, message: str = "n_max must be a positive integer"
 ) -> None:
-    """Raise ValueError(message) unless v is an int >= 1 (bools excluded)."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+    """Raise ValueError(message) unless v is an int >= low (bools excluded)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
         raise ValueError(message)
 
 
@@ -203,10 +205,7 @@ class RatSeq:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"numerators must be exact integers, got {v!r}")
         e = denominator_exponent
-        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-            raise ValueError(
-                f"denominator exponent must be a nonnegative integer, got {e!r}"
-            )
+        _require_int(e, 0, f"denominator exponent must be a nonnegative integer, got {e!r}")
         self.n_max = len(nums)
         self.denominator_exponent = denominator_exponent
         self._nums = [0] + nums
@@ -236,7 +235,7 @@ class DivisorTable:
     __slots__ = ("n_max", "_spf")
 
     def __init__(self, n_max: int) -> None:
-        _require_positive_int(n_max)
+        _require_int(n_max)
         self.n_max = n_max
         self._spf = _spf_array(n_max)
 
@@ -289,7 +288,7 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     n_max, up front when n_max terms at _TERM_BYTES each exceed the
     memory the process may use.
     """
-    _require_positive_int(n_max)
+    _require_int(n_max)
     if name not in BUILTIN_NAMES:
         raise ValueError(
             f"unknown function identifier {name!r}; expected one of "
@@ -298,8 +297,7 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     if name in PARAMETRIC_NAMES:
         if x is None:
             raise ValueError(f"generator {name!r} requires the exponent x")
-        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-            raise ValueError(f"exponent x must be a nonnegative integer, got {x!r}")
+        _require_int(x, 0, f"exponent x must be a nonnegative integer, got {x!r}")
         label = f"{name}_{x}"
     else:
         if x is not None:
@@ -401,151 +399,144 @@ def _multiplicative_fill(
 def _recursive_family(n_max: int, x: int | None) -> list[int]:
     """kappa_x, or K when x is None, on 0..n_max with a 0 pad at 0.
 
-    The seed (id_x, or epsilon for K) goes into 4-byte lanes, else 8-byte
-    lanes, and `_lane_recursion` sieves it there; a seed value past a
-    lane's signed range (OverflowError) or a sum that sets a lane's top
-    bit moves on to the next width, from the seed again.  Values past
-    8 bytes go to the exact list kernel, `_proper_divisor_recursion`.
+    The seed (id_x, or epsilon for K) goes into the narrowest storage
+    whose signed range holds it: 4-byte lanes, 8-byte lanes, else a list.
+    When an update does not fit the lanes, the table as it stands widens
+    and the run resumes with that update, so none is applied twice.
     """
     from array import array  # a shared library: loaded on first use, not at import
 
-    for code in _LANE_CODES:
-        try:
-            if x is None:
-                lanes = array(code, [0]) * (n_max + 1)
-                lanes[1] = 1
-            else:
-                # One allocation, filled in pieces: no N-length list beside
-                # it, and no growing buffer to leave holes in the heap.
-                lanes = array(code, [0]) * (n_max + 1)
-                for lo in range(1, n_max + 1, 1 << 16):
-                    hi = min(lo + (1 << 16), n_max + 1)
-                    lanes[lo:hi] = array(code, map(pow, range(lo, hi), repeat(x)))
-        except OverflowError:
-            continue
-        if _lane_recursion(lanes):
-            return lanes.tolist()
+    top = 1 if x is None else n_max**x
+    # Signed 4-byte, then 8-byte lanes (C int and long long).
+    codes = [c for c in "iq" if top < 1 << (8 * array(c).itemsize - 1)]
+    table = array(codes[0], [0]) * (n_max + 1) if codes else [0] * (n_max + 1)
     if x is None:
-        vals = [0] * (n_max + 1)
-        vals[1] = 1
+        table[1] = 1
     else:
-        vals = [0] + [n**x for n in range(1, n_max + 1)]
-    _proper_divisor_recursion(vals)
-    return vals
+        # One allocation, filled in pieces: no N-length list beside it,
+        # and no growing buffer to leave holes in the heap.
+        for lo in range(1, n_max + 1, _PIECE):
+            seed = map(pow, range(lo, min(lo + _PIECE, n_max + 1)), repeat(x))
+            table[lo : lo + _PIECE] = array(codes[0], seed) if codes else list(seed)
+    updates = _recursion_updates(n_max)
+    while isinstance(table, array):
+        pending = _apply_to_lanes(table, updates)
+        if pending is None:
+            return table.tolist()
+        updates = chain([pending], updates)
+        table = array("q", table) if table.typecode == "i" else table.tolist()
+    _apply_to_list(table, updates)
+    return table
 
 
-# Signed 4-byte, then 8-byte lanes (C int and long long), tried in order.
-_LANE_CODES = ("i", "q")
+# Most entries per update up to r = isqrt(N): none copies the whole table.
+_PIECE = 1 << 16
 
 
-def _lane_recursion(a: array.array) -> bool:
-    """In place, the unweighted `_proper_divisor_recursion` on the lanes of a.
+def _recursion_updates(n_max: int) -> Iterator[tuple]:
+    """The proper-divisor recursion on 1..n_max as slice updates, in order.
 
-    The same split at r = isqrt(N), the same 2^16-entry pieces up to r and
-    width-r blocks above it, but each slice update is one addition of two
-    Python ints that hold the slice's lanes as fixed-width fields:
-    ``from_bytes(a[dst]) + from_bytes(src)``, or ``+ vd * ones`` for a
-    scalar, written back with ``to_bytes``.  The addition is exact lane by
-    lane as long as no lane carries into the next, and the kernel checks
-    that while it runs.  Every lane is below 2^(b-1) before an add: the
-    signed typecode holds no larger seed, and ``t & high`` (the top bit of
-    every lane) is 0 after each add.  So no two-lane sum reaches 2^b and
-    no carry crosses a lane.  Returns False, a part written, as soon as a
-    sum sets a top bit: the values need wider lanes.
+    An update adds sources into the destination slice ``dst`` of the
+    table, and every source is final before it is read:
+
+    * ``(dst, d, ms)`` for d <= r = isqrt(N): entry d into its multiples
+      d m for m in the slice ``ms``, in pieces of 2^16 entries or half
+      the table, if less.  Ascending d, so all proper divisors of d have
+      spread into it already.
+    * ``(dst, ds, m)`` per block [lo, lo + r) above r: the entries d in
+      the slice ``ds`` into d m, one multiplier m at a time.  A block's
+      proper divisors are at most (lo + r - 1) / 2 < lo, so it is final
+      once the blocks below it have spread.
+
+    Every pair (d, m) with m >= 2 and d m <= N comes once: O(N log N)
+    operations in one update per d and piece up to r, and about
+    sqrt(N) ln(N) / 2 above it.
+    """
+    r = isqrt(n_max)
+    piece = max(min(_PIECE, n_max // 2), 1)
+    for d in range(1, r + 1):
+        top = n_max // d
+        for m0 in range(2, top + 1, piece):
+            m1 = min(m0 + piece, top + 1)
+            yield slice(m0 * d, m1 * d, d), d, slice(m0, m1)
+    # Blocks of r, not dyadic blocks [lo, 2 lo): those take fewer slices
+    # but update up to N / 4 entries at once, and a run of many series
+    # jobs then kept about 1.5 MiB more resident memory.
+    for lo in range(r + 1, n_max + 1, r):
+        hi = min(lo + r, n_max + 1)
+        for m in range(2, n_max // lo + 1):
+            top = min(hi - 1, n_max // m)
+            yield slice(m * lo, m * top + 1, m), slice(lo, top + 1), m
+
+
+def _apply_to_lanes(a: array.array, updates: Iterator[tuple]) -> tuple | None:
+    """Apply `_recursion_updates` to the lanes of a, in place, unweighted.
+
+    Each update is one addition of Python ints holding the lanes as
+    fixed-width fields: ``from_bytes(a[dst])`` plus the source block's
+    int, or a[d] times a mask with a 1 in every lane, written back with
+    ``to_bytes``.  Every lane is below 2^(b-1) before an add (the seed
+    fits the signed typecode), so no two-lane sum reaches 2^b and no
+    carry crosses a lane.  The first add that sets ``t & high``, the top
+    bit of any lane, is returned unwritten, so a wider table can resume
+    from it; None once every update is in.
     """
     from array import array
 
-    n_max = len(a) - 1
-    r = isqrt(n_max)
     code, width = a.typecode, a.itemsize
     bits = 8 * width
-    # Masks per call, sized to the longest update: no work at import.
-    lanes = max(min(1 << 16, n_max // 2), r)
-    ones = int.from_bytes(array(code, [1]) * lanes, _BYTEORDER)
-    high = ones << (bits - 1)
     from_bytes = int.from_bytes
-    for d in range(1, r + 1):
-        vd = a[d]
-        if vd:
-            top = n_max // d
-            for m0 in range(2, top + 1, lanes):
-                k = min(lanes, top + 1 - m0)
-                dst = slice(m0 * d, (m0 + k) * d, d)
-                t = from_bytes(a[dst], _BYTEORDER) + vd * (ones >> bits * (lanes - k))
-                if t & high:
-                    return False
-                a[dst] = array(code, t.to_bytes(width * k, _BYTEORDER))
-    lo = r + 1
-    while lo <= n_max:
-        hi = min(lo + r, n_max + 1)
-        src_top = 0
-        for m in range(2, n_max // lo + 1):
-            top = min(hi - 1, n_max // m)
-            if top != src_top:
-                # Whole-block sources repeat for every m up to N / (hi - 1).
-                src, src_top = from_bytes(a[lo : top + 1], _BYTEORDER), top
-            dst = slice(m * lo, m * top + 1, m)
+    size = 0
+    block = None
+    for update in updates:
+        dst, d, m = update
+        scalar = isinstance(d, int)
+        k = m.stop - m.start if scalar else d.stop - d.start
+        if k > size:
+            # Masks sized to the longest update so far: no work at import.
+            size = k
+            ones = from_bytes(array(code, [1]) * size, _BYTEORDER)
+            high = ones << (bits - 1)
+        if scalar:
+            t = from_bytes(a[dst], _BYTEORDER) + a[d] * (ones >> bits * (size - k))
+        else:
+            if d != block:
+                # A whole block's source repeats for every m up to N / (hi - 1).
+                block, src = d, from_bytes(a[d], _BYTEORDER)
             t = from_bytes(a[dst], _BYTEORDER) + src
-            if t & high:
-                return False
-            a[dst] = array(code, t.to_bytes(width * (top + 1 - lo), _BYTEORDER))
-        lo = hi
-    return True
+        if t & high:
+            return update
+        a[dst] = array(code, t.to_bytes(width * k, _BYTEORDER))
+    return None
 
 
 # The lanes are native machine words; read and write them in native order.
 _BYTEORDER = sys.byteorder
 
 
-def _proper_divisor_recursion(
-    vals: list[int], w: list[int] | None = None, c: int = 1
+def _apply_to_list(
+    vals: list[int], updates: Iterator[tuple], w: list[int] | None = None, c: int = 1
 ) -> None:
-    """In place, for ascending n >= 2: vals[n] = c * (vals[n] + sum of
-    vals[d] * w[n/d] over proper divisors d of n), all weights 1 if w is None.
+    """Apply `_recursion_updates` to the list vals, in place, exactly.
 
-    kappa_x and K are vals = id_x or epsilon with c = 1, here when their
-    values pass 8-byte lanes (see `_lane_recursion`); the Dirichlet
-    inverse of f is vals = f(1) epsilon, w = f, c = -f(1).  Sums go in
-    unscaled, and c applies once an entry is final: once all its proper
-    divisors have spread into it.  Up to r = isqrt(N) that is one d at a
-    time, spreading to its d-stride in pieces of 2^16 entries so that no
-    update copies the whole table.  Above r, entries go in blocks
-    [lo, lo + r): their proper divisors are at most (lo + r - 1) / 2 < lo,
-    so a block is final at once and spreads in one slice per multiplier m.
-    O(N log N) operations in about sqrt(N) ln(N) / 2 slices above r, and
-    one per d and piece up to r.
+    Unweighted, every pair (d, m) adds vals[d] to vals[d m]: kappa_x and
+    K, here when their values pass 8-byte lanes.  With weights w it adds
+    c w[m] vals[d], the sign c put on each update's scalar (vals[d] for
+    a d up to r, w[m] for a block): the Dirichlet inverse.
     """
-    n_max = len(vals) - 1
-    r = isqrt(n_max)
-    for d in range(1, r + 1):
-        if d > 1 and c != 1:
-            vals[d] *= c
-        vd = vals[d]
-        if vd:
-            top = n_max // d
-            for m0 in range(2, top + 1, 1 << 16):
-                m1 = min(m0 + (1 << 16), top + 1)
-                dst = slice(m0 * d, m1 * d, d)
-                if w is None:
-                    vals[dst] = [v + vd for v in vals[dst]]
-                else:
-                    vals[dst] = [v + vd * wm for v, wm in zip(vals[dst], w[m0:m1])]
-    lo = r + 1
-    while lo <= n_max:
-        # Blocks of r, not dyadic blocks [lo, 2 lo): those take fewer slices
-        # but update up to N / 4 entries at once, and a run of many series
-        # jobs then kept about 1.5 MiB more resident memory.
-        hi = min(lo + r, n_max + 1)
-        if c != 1:
-            vals[lo:hi] = [c * v for v in vals[lo:hi]]
-        for m in range(2, n_max // lo + 1):
-            top = min(hi - 1, n_max // m)
-            dst = slice(m * lo, m * top + 1, m)
+    for dst, d, m in updates:
+        if isinstance(d, int):
+            vd = c * vals[d]
+            if not vd:
+                continue
             if w is None:
-                vals[dst] = map(add, vals[dst], vals[lo : top + 1])
-            elif wm := w[m]:
-                vals[dst] = [v + wm * vd for v, vd in zip(vals[dst], vals[lo : top + 1])]
-        lo = hi
+                vals[dst] = [v + vd for v in vals[dst]]
+            else:
+                vals[dst] = [v + vd * wm for v, wm in zip(vals[dst], w[m])]
+        elif w is None:
+            vals[dst] = map(add, vals[dst], vals[d])
+        elif wm := c * w[m]:
+            vals[dst] = [v + wm * vd for v, vd in zip(vals[dst], vals[d])]
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +582,26 @@ def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
     """The g with f * g = epsilon: g(1) = f(1), and g(n) = -f(1) times the
     sum of f(n/d) g(d) over proper divisors d of n.
 
-    The result list is the only table; `_proper_divisor_recursion` fills
-    it with weights f, as it sieves kappa and K.  Requires f(1) in
-    {+1, -1}; anything else raises NotAUnitError because the inverse
-    would leave the integers.
+    The result list is the only table.  `_apply_to_list` fills it with
+    weights f and sign c = -f(1) as the unscaled sums S = g / c: S(1) =
+    -1, S(n) = sum of c f(n/d) S(d) over proper divisors d.  For the
+    inverse of K these are mostly small nonnegative ints, which CPython
+    caches; stored signed, they would double its peak memory.  Then
+    g = c S in 2^16-entry pieces.  Requires f(1) in {+1, -1}; anything
+    else raises NotAUnitError because the inverse would leave the integers.
     """
     u = f._vals[1]
     if u not in (1, -1):
         raise NotAUnitError(
             f"f(1) = {u} is not +1 or -1; the sequence has no integer inverse"
         )
-    g = [0] * (f.n_max + 1)
-    g[1] = u
-    _proper_divisor_recursion(g, f._vals, -u)
+    n_max, c = f.n_max, -u
+    g = [0] * (n_max + 1)
+    g[1] = -1
+    _apply_to_list(g, _recursion_updates(n_max), f._vals, c)
+    if c != 1:
+        for lo in range(1, n_max + 1, _PIECE):
+            g[lo : lo + _PIECE] = [-v for v in g[lo : lo + _PIECE]]
     return ArithSeq._from_padded(g, f"{f.label}^-1" if f.label else "inverse")
 
 
@@ -622,7 +620,7 @@ def series_partial(kind: str, m: int, n_max: int, *, x: int | None = None) -> Ra
     """
     if kind not in ("kappa", "K"):
         raise ValueError(f"kind must be 'kappa' or 'K', got {kind!r}")
-    _require_positive_int(m, "term count m must be at least 1")
+    _require_int(m, 1, "term count m must be at least 1")
     if kind == "kappa":
         if x is None:
             raise ValueError("kind 'kappa' requires the exponent x")

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable
 
-from .sequences import ArithSeq, _require_positive_int, gen_builtin
+from .sequences import ArithSeq, _require_int, gen_builtin
 
 __all__ = [
     "ZetaValue",
@@ -226,9 +226,8 @@ def verify_closed_form(
     report records that and whether the gap lands within tol at the full
     length.
     """
-    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise ValueError("x must be a nonnegative integer")
-    _require_positive_int(n_max)
+    _require_int(x, 0, "x must be a nonnegative integer")
+    _require_int(n_max)
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("s must be a finite real number")

@@ -2,7 +2,9 @@ import random
 import tracemalloc
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -491,7 +493,7 @@ def recursion_seed(n_max, x):
 
 def list_kernel(n_max, x):
     vals = recursion_seed(n_max, x)
-    sequences._proper_divisor_recursion(vals)
+    sequences._apply_to_list(vals, sequences._recursion_updates(n_max))
     return vals
 
 
@@ -501,26 +503,62 @@ def lane_kernel(n_max, x, code):
         lanes = array(code, recursion_seed(n_max, x))
     except OverflowError:
         return None
-    return lanes.tolist() if sequences._lane_recursion(lanes) else None
+    pending = sequences._apply_to_lanes(lanes, sequences._recursion_updates(n_max))
+    return lanes.tolist() if pending is None else None
+
+
+class TestRecursionSchedule:
+    def test_every_pair_once_and_every_source_final(self):
+        for n_max in SPLIT_NS + [3 * 2**16 + 16]:
+            # The pair (d, m), m >= 2 and d m <= N, has the slot first[m] + d - 1.
+            first = [0, 0, 0, *accumulate(n_max // m for m in range(2, n_max + 1))]
+            covered = bytearray(first[-1])
+            read = bytearray(n_max + 1)
+            for dst, d, m in sequences._recursion_updates(n_max):
+                ds = range(d, d + 1) if isinstance(d, int) else range(d.start, d.stop)
+                ms = range(m, m + 1) if isinstance(m, int) else range(m.start, m.stop)
+                assert ds and ms and ds[0] >= 1 and ms[0] >= 2, (n_max, dst)
+                assert len(ds) == 1 or len(ms) == 1, (n_max, dst)
+                # dst is every d m, in bounds: the step is the scalar one.
+                step = ds[0] if len(ds) == 1 else ms[0]
+                want = range(ds[0] * ms[0], ds[-1] * ms[-1] + 1, step)
+                assert range(n_max + 1)[dst] == want, (n_max, dst)
+                # Sources are read before the update writes, and stay final.
+                read[ds[0] : ds[-1] + 1] = b"\1" * len(ds)
+                assert 1 not in read[dst], (n_max, dst)
+                for mm in ms:
+                    slots = slice(first[mm] + ds[0] - 1, first[mm] + ds[-1])
+                    assert 1 not in covered[slots], (n_max, dst)
+                    covered[slots] = b"\1" * len(ds)
+            assert 0 not in covered, n_max
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record each lane run as (typecode, finished) and each list-kernel run."""
-    calls = []
-    lane, exact = sequences._lane_recursion, sequences._proper_divisor_recursion
+    """Record each lane run as (typecode, finished) and each list run as
+    "list" in ``runs``, and every update the runs write in ``applied``."""
+    calls = SimpleNamespace(runs=[], applied=[])
+    lanes_run, list_run = sequences._apply_to_lanes, sequences._apply_to_list
 
-    def lane_spy(a):
-        finished = lane(a)
-        calls.append((a.typecode, finished))
-        return finished
+    def taken(updates):
+        for update in updates:
+            calls.applied.append(update)
+            yield update
 
-    def exact_spy(vals, *args):
-        calls.append("list")
-        return exact(vals, *args)
+    def lanes_spy(a, updates):
+        pending = lanes_run(a, taken(updates))
+        calls.runs.append((a.typecode, pending is None))
+        if pending is not None:
+            # The run stops at the update it returns and leaves it unwritten.
+            assert calls.applied.pop() is pending
+        return pending
 
-    monkeypatch.setattr(sequences, "_lane_recursion", lane_spy)
-    monkeypatch.setattr(sequences, "_proper_divisor_recursion", exact_spy)
+    def list_spy(vals, updates, *args):
+        calls.runs.append("list")
+        return list_run(vals, taken(updates), *args)
+
+    monkeypatch.setattr(sequences, "_apply_to_lanes", lanes_spy)
+    monkeypatch.setattr(sequences, "_apply_to_list", list_spy)
     return calls
 
 
@@ -530,38 +568,42 @@ class TestLaneKernel:
         for n_max in SPLIT_NS + [3 * 2**16 + 16]:
             for x in [None, *range(6)]:
                 expected = list_kernel(n_max, x)
-                for code in sequences._LANE_CODES:
+                for code in ("i", "q"):
                     got = lane_kernel(n_max, x, code)
                     if got is not None:
                         finished.add(code)
                         assert got == expected, (n_max, x, code)
                 name = "K" if x is None else "kappa"
                 assert gen_builtin(name, n_max, x=x)._vals == expected, (n_max, x)
-        assert finished == set(sequences._LANE_CODES)
+        assert finished == {"i", "q"}
 
     def test_fast_path_is_taken(self, kernel_calls):
         # kappa_1 at 10^4 fits 4-byte lanes: no wider lanes, no list kernel.
         seq = gen_builtin("kappa", 10**4, x=1)
-        assert kernel_calls == [("i", True)]
+        assert kernel_calls.runs == [("i", True)]
         assert seq._vals == list_kernel(10**4, 1)
 
     def test_widening_mid_run(self, kernel_calls):
         # 40000^2 < 2^31, so id_2 fits 4-byte lanes, but kappa_2 passes 2^31
-        # during the sieve: the 8-byte lanes start again and finish it.
+        # during the sieve: the table widens to 8-byte lanes and resumes.
         n_max = 40_000
         assert n_max**2 < 2**31
         seq = gen_builtin("kappa", n_max, x=2)
-        assert kernel_calls == [("i", False), ("q", True)]
+        assert kernel_calls.runs == [("i", False), ("q", True)]
+        # Each update is written once, in order: none again from the seed.
+        assert kernel_calls.applied == list(sequences._recursion_updates(n_max))
         assert max(seq) >= 2**31
         assert seq._vals == list_kernel(n_max, 2)
 
     def test_fallback_mid_run(self, kernel_calls):
         # 55000^4 < 2^63 fits 8-byte lanes (not 4-byte ones, at build), but
-        # kappa_4 passes 2^63 from n = 54000: the list kernel finishes it.
+        # kappa_4 passes 2^63 from n = 54000: the table moves to the list
+        # kernel and resumes there.
         n_max = 55_000
         assert n_max**4 < 2**63
         seq = gen_builtin("kappa", n_max, x=4)
-        assert kernel_calls == [("q", False), "list"]
+        assert kernel_calls.runs == [("q", False), "list"]
+        assert kernel_calls.applied == list(sequences._recursion_updates(n_max))
         assert seq[54_000] >= 2**63
         for n in range(54_000, 54_010):
             assert seq[n] == n**4 + sum(seq[d] for d in brute_divisors(n)[:-1]), n

@@ -172,6 +172,14 @@ class TestFindSingularity:
         with pytest.raises(ValueError):
             find_singularity(0.0)
 
+    def test_within_tolerance_of_mpmath(self):
+        # Measured errors: 4.7e-7, 1.3e-11 and 1.1e-13.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            rho = mpmath.findroot(lambda s: mpmath.zeta(s) - 2, 1.7)
+            for tol in (1e-6, 1e-10, 1e-12):
+                assert abs(find_singularity(tol) - rho) <= tol, tol
+
 
 class TestVerifyClosedForm:
     def test_acceptance_pairs_at_reduced_range(self):
