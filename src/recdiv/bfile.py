@@ -4,12 +4,13 @@ Parsing accepts the conventions found in real downloaded files, leading
 '#' comment lines and blank lines, but emission produces bare data lines
 only.  Indices must be positive and strictly increasing.
 
-A `BFile` holds two parallel columns, ``indices`` and ``values``, not a
-tuple per line.  Indices that run 1..n, as in every file `format_bfile`
-writes, are stored as ``range(1, n + 1)``, so a dense file costs one int
-object per line, its value.  Parsing splits the text into lines about
-1 MiB at a time, and formatting joins 4096 lines at a time, so the
-per-line strings of a whole file never exist at once.
+The parser builds a `BFile`: two parallel columns, ``indices`` and
+``values``, not a tuple per line.  Indices that run 1..n, as in every
+file `format_bfile` writes, are stored as ``range(1, n + 1)``, so a
+dense file costs one int object per line, its value.  Parsing splits
+the text into lines about 1 MiB at a time, and formatting joins 4096
+lines at a time, so the per-line strings of a whole file never exist
+at once.
 """
 
 from __future__ import annotations
@@ -38,35 +39,15 @@ class BFileParseError(ValueError):
 class BFile:
     """Parsed b-file: parallel index and value columns plus where they came from.
 
-    ``BFile(entries, source_name)`` takes (index, value) pairs and checks
-    that the indices are positive and strictly increasing.  The columns
-    are shared, not copied: treat them as read-only.
+    `parse_bfile` and `parse_bfile_text` build it, after checking that the
+    indices are positive and strictly increasing.  The columns are shared,
+    not copied: treat them as read-only.
     """
 
     __slots__ = ("indices", "values", "source_name")
 
-    def __init__(self, entries: Iterable[tuple[int, int]], source_name: str = ""):
-        indices, values, prev = [], [], 0
-        for i, (idx, value) in enumerate(entries):
-            if idx <= prev:
-                raise ValueError(
-                    f"entry {i}: index {idx} not strictly increasing (after {prev})"
-                )
-            indices.append(idx)
-            values.append(value)
-            prev = idx
-        self.indices: Sequence[int] = indices
-        self.values: Sequence[int] = values
-        self.source_name = source_name
-
-    @classmethod
-    def _from_columns(
-        cls, indices: Sequence[int], values: list[int], source_name: str
-    ) -> BFile:
-        # Internal: the parser has already checked the index order.
-        bf = cls.__new__(cls)
-        bf.indices, bf.values, bf.source_name = indices, values, source_name
-        return bf
+    def __init__(self, indices: Sequence[int], values: list[int], source_name: str = ""):
+        self.indices, self.values, self.source_name = indices, values, source_name
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:
@@ -131,7 +112,7 @@ def parse_bfile_text(text: str, source_name: str = "") -> BFile:
     if prev_index == len(indices):
         # n strictly increasing positive indices ending at n are exactly 1..n.
         indices = range(1, prev_index + 1)
-    return BFile._from_columns(indices, values, source_name)
+    return BFile(indices, values, source_name)
 
 
 def parse_bfile(path: str | Path) -> BFile:

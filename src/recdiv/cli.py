@@ -162,17 +162,16 @@ def cmd_oeis_compare(args) -> int:
         print(f"{args.bfile}: no data lines; nothing to compare")
         return 0
     seq = gen_builtin(args.fn, indices[-1], x=args.x)
-    label = seq.label or args.fn
     padded = seq._vals  # f(n) at position n, read in C with no copy
     index = next(compress(indices, map(ne, map(padded.__getitem__, indices), expected)), None)
     if index is not None:
         print(
-            f"mismatch at index {index}: {label} gives {padded[index]}, "
-            f"b-file {bf.source_name or args.bfile} has {expected[indices.index(index)]}",
+            f"mismatch at index {index}: {seq.label} gives {padded[index]}, "
+            f"b-file {bf.source_name} has {expected[indices.index(index)]}",
             file=sys.stderr,
         )
         return 1
-    print(f"{label} agrees with {bf.source_name or args.bfile} on all {len(indices)} entries")
+    print(f"{seq.label} agrees with {bf.source_name} on all {len(indices)} entries")
     return 0
 
 

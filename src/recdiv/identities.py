@@ -18,6 +18,8 @@ on `sequences.series_partial`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import ne
 from typing import Callable, Iterable
 
 from .sequences import ArithSeq, _require_int, dirichlet_inverse, gen_builtin
@@ -89,12 +91,12 @@ def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | No
     """First index where the sequences differ, with both values, else None."""
     lhs._require_same_range(rhs)
     lv, rv = lhs._vals, rhs._vals
-    if lv == rv:  # one compare in C; a Python loop only to place a mismatch
+    if lv == rv:  # one compare in C, taken by every passing check
         return None
-    for n in range(1, lhs.n_max + 1):
-        if lv[n] != rv[n]:
-            return n, lv[n], rv[n]
-    return None
+    # Both tables hold 0 at position 0, so they differ at some n >= 1.
+    ne_from_1 = map(ne, islice(lv, 1, None), islice(rv, 1, None))
+    n = next(compress(range(1, len(lv)), ne_from_1))
+    return n, lv[n], rv[n]
 
 
 def _eq3(pool, x, y):

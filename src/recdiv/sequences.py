@@ -285,8 +285,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     sigma, kappa); passing it for any other identifier is an error, as
     is omitting it for a parametric one.  Unknown identifiers raise
     ValueError.  A table too large for memory raises MemoryError naming
-    n_max, up front when n_max terms at _TERM_BYTES each exceed the
-    memory the process may use.
+    n_max, up front when `_table_bytes` exceeds the memory the process
+    may use.
     """
     _require_int(n_max)
     if name not in BUILTIN_NAMES:
@@ -306,7 +306,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
 
     try:
         # No list holds it, or it cannot fit: fail before the list grows.
-        if n_max >= sys.maxsize or n_max * _TERM_BYTES > _memory_limit():
+        power = x if name in ("id", "sigma", "kappa") else 0  # f(n) >= n**x
+        if n_max >= sys.maxsize or _table_bytes(n_max, power) > _memory_limit():
             raise MemoryError
         if name == "epsilon":
             padded = [0] * (n_max + 1)
@@ -315,7 +316,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
             padded = [1] * (n_max + 1)
             padded[0] = 0
         elif name == "id":
-            padded = [0] + [n**x for n in range(1, n_max + 1)]
+            padded = [n**x for n in range(n_max + 1)]
+            padded[0] = 0
         elif name == "mobius":
             padded = _multiplicative_fill(n_max, lambda p: (-1, 0, 0))
         elif name == "phi":
@@ -345,6 +347,20 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
 # multiplicative fills hold at least that; epsilon and one hold the
 # pointer alone.
 _TERM_BYTES = 8 + sys.getsizeof(1)
+
+
+def _table_bytes(n_max: int, power: int) -> int:
+    """Estimated bytes of n_max terms, each f(n) >= n**power, from bit lengths.
+
+    A term n in [2^k, 2^(k+1)) holds n**power >= 2^(power*k), so at least
+    power*k // bits_per_digit digits past the one _TERM_BYTES counts.
+    """
+    info = sys.int_info
+    total = n_max * _TERM_BYTES
+    for k in range(1, n_max.bit_length()):
+        terms = min(2 << k, n_max + 1) - (1 << k)
+        total += terms * (power * k // info.bits_per_digit) * info.sizeof_digit
+    return total
 
 
 def _memory_limit() -> float:

@@ -281,7 +281,7 @@ def find_singularity(tol: float = 1e-10) -> float:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    tol = max(float(tol), 1e-13)
+    tol = max(float(tol), TOL_FLOOR)
     lo, hi = 1.5, 2.0
     inner = max(min(tol * 1e-2, 1e-12), TOL_FLOOR)
     while hi - lo > tol:

@@ -7,7 +7,6 @@ from hypothesis import given
 
 from recdiv import bfile
 from recdiv.bfile import (
-    BFile,
     BFileParseError,
     format_bfile,
     parse_bfile,
@@ -96,14 +95,6 @@ class TestFormat:
         bf = parse_bfile_text(format_bfile(values))
         assert [v for _, v in bf.entries] == values
         assert [i for i, _ in bf.entries] == [1, 2, 3, 4, 5]
-
-
-class TestBFileType:
-    def test_constructor_enforces_increasing_indices(self):
-        with pytest.raises(ValueError):
-            BFile(((2, 1), (2, 5)))
-        with pytest.raises(ValueError):
-            BFile(((0, 1),))
 
 
 # Text made of b-file material (digits, signs, comments, blank lines), so

@@ -10,7 +10,7 @@ import pytest
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 from recdiv.cli import _json_value, main
-from recdiv.identities import IdentityReport
+from recdiv.identities import REGISTRY, IdentityCheck, IdentityReport, check_identity
 from recdiv.bfile import format_bfile
 from recdiv.sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, gen_builtin
 
@@ -116,6 +116,32 @@ class TestCheck:
         assert payload[1]["first_failure_n"] == 6
         assert (payload[1]["lhs_value"], payload[1]["rhs_value"]) == (14, 15)
         assert "lhs_value" not in payload[0] and "rhs_value" not in payload[0]
+
+    def test_false_identity_fails_end_to_end(self, capsys, tmp_path, monkeypatch):
+        # kappa_0 = num_divisors holds at n = 1, 2, 3 and first fails at n = 4.
+        false = IdentityCheck(
+            "ZZ", "kappa_0 = num_divisors", 0,
+            lambda pool, _x, _y: (pool.get("kappa", 0), pool.get("num_divisors")),
+        )
+        monkeypatch.setitem(REGISTRY, "ZZ", false)
+        r = check_identity("ZZ", 10)
+        assert (r.passed, r.first_failure_n, r.lhs_value, r.rhs_value) == (False, 4, 4, 3)
+
+        report_path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "check", "--n", "10", "--x", "0", "--report", str(report_path)
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            "ZZ    x=-  y=-   FAIL at n=4: 4 != 3",
+            "12/13 identities passed at n_max=10",
+        ]
+        entry = json.loads(report_path.read_text())[-1]
+        assert entry == {
+            "identity": "ZZ", "x": None, "y": None, "n_max": 10, "passed": False,
+            "first_failure_n": 4, "lhs_value": 4, "rhs_value": 3,
+        }
 
     def test_bad_exponent_list(self, capsys):
         code, _, err = run(capsys, "check", "--n", "10", "--x", "0,q")
@@ -415,3 +441,14 @@ class TestOutOfMemory:
             proc = self.run_limited(*argv, timeout=1.5)
             assert proc.returncode == 2
             assert proc.stderr == f"error: out of memory tabulating {label} on n = 1..{10**12}\n"
+
+    def test_guard_counts_the_exponent(self):
+        # Each kappa_1000 term holds n^1000, thousands of bytes, not the one
+        # digit the per-term estimate counts; unguarded, the table grows for
+        # seconds before the limit stops it.
+        proc = self.run_limited(
+            "gen", "--fn", "kappa", "--x", "1000", "--n", str(10**6), "--format", "bfile",
+            timeout=1.5,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: out of memory tabulating kappa_1000 on n = 1..{10**6}\n"

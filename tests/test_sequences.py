@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -323,6 +324,15 @@ class TestMemory:
             tracemalloc.stop()
         del inv
         assert peak / n < self.INVERSE_BYTES_PER_TERM
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 3721])
+    def test_size_guard_never_exceeds_the_powers(self, n):
+        # gen_builtin refuses a table when this estimate exceeds memory, so
+        # the digits it adds for f(n) >= n**x must be digits n**x holds.
+        for x in (0, 1, 29, 30, 31, 1000):
+            held = sum(sys.getsizeof(v) - sys.getsizeof(1) for v in gen_builtin("id", n, x=x))
+            counted = sequences._table_bytes(n, x) - n * sequences._TERM_BYTES
+            assert 0 <= counted <= held
 
 
 class TestConvolution:
