@@ -23,7 +23,7 @@ from operator import ne
 from . import oracles
 from .bfile import _BATCH_LINES, BFileParseError, format_bfile, parse_bfile
 from .identities import check_all, registered_codes
-from .sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, gen_builtin
+from .sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, _generator_label, gen_builtin
 from .series import DivergenceError, SingularityDomainError, verify_closed_form
 
 __all__ = ["main", "build_parser"]
@@ -156,6 +156,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oeis_compare(args) -> int:
+    _generator_label(args.fn, args.x)  # a usage error comes before the b-file is read
     bf = parse_bfile(args.bfile)
     indices, expected = bf.indices, bf.values
     if not indices:

@@ -1,14 +1,16 @@
 """Registry of exact convolution-identity checks.
 
-Each registered identity builds its left and right sides from the
-`sequences` primitives and compares them elementwise over 1..n_max with
-exact integer arithmetic.  Identities whose statement carries a /2 are
-checked in cleared form (both sides doubled) so everything stays in the
+Each registered identity is one written statement, ``lhs = rhs``, in the
+paper's notation.  Checking it evaluates both sides from the `sequences`
+primitives and compares them elementwise over 1..n_max with exact
+integer arithmetic.  Identities whose statement carries a /2 are checked
+in cleared form (both sides doubled) so everything stays in the
 integers.  A report records the first failing index and both values
 there, which is what you want when hunting a sieve bug.
 
-`REGISTRY` below lists the codes, each with its statement and the
-number of exponents it takes.
+`REGISTRY` below lists the codes, each with the statement it checks.  The
+number of exponents an identity takes comes from the statement's
+subscripts: ``_y`` anywhere makes two, else ``_x`` makes one, else none.
 
 The halving-series representations of kappa_x and K are deliberately not
 registered here; they are covered by the exact dyadic convergence tests
@@ -17,10 +19,13 @@ on `sequences.series_partial`.
 
 from __future__ import annotations
 
+import ast
+import operator
+import re
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import ne
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .sequences import ArithSeq, _require_int, dirichlet_inverse, gen_builtin
 
@@ -62,15 +67,26 @@ class SequencePool:
         return self._invs[key]
 
 
-Evaluator = Callable[[SequencePool, int | None, int | None], tuple[ArithSeq, ArithSeq]]
+# A name with an exponent subscript: kappa_x, sigma_y, kappa_0.
+_SUBSCRIPTED = re.compile(r"(\w+)_(x|y|\d+)\b")
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """A code and the statement ``lhs = rhs`` that check_identity evaluates.
+
+    A side is built from generator names, subscripted ``_x``, ``_y`` or
+    with a fixed exponent (``kappa_0``), ``inverse(name)``, int constants,
+    and ``+ - *``, where ``*`` of two sequences is Dirichlet convolution.
+    """
+
     code: str
     description: str
-    exponents_required: int  # 0, 1, or 2
-    evaluator: Evaluator
+
+    @property
+    def exponents_required(self) -> int:
+        subscripts = {sub for _, sub in _SUBSCRIPTED.findall(self.description)}
+        return 2 if "y" in subscripts else int("x" in subscripts)
 
 
 @dataclass(frozen=True)
@@ -94,92 +110,63 @@ def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | No
     if lv == rv:  # one compare in C, taken by every passing check
         return None
     # Both tables hold 0 at position 0, so they differ at some n >= 1.
-    ne_from_1 = map(ne, islice(lv, 1, None), islice(rv, 1, None))
+    ne_from_1 = map(operator.ne, islice(lv, 1, None), islice(rv, 1, None))
     n = next(compress(range(1, len(lv)), ne_from_1))
     return n, lv[n], rv[n]
 
 
-def _eq3(pool, x, y):
-    return (
-        pool.get("kappa", x) * pool.get("sigma", y),
-        pool.get("kappa", y) * pool.get("sigma", x),
-    )
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
-def _eq4(pool, x, _y):
-    return (
-        2 * pool.get("kappa", x),
-        pool.get("id", x) + pool.get("one") * pool.get("kappa", x),
-    )
+def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> ArithSeq:
+    """One side of a statement, built through the pool and ArithSeq's operators."""
 
+    def sequence(name: str) -> tuple[str, int | None]:
+        m = _SUBSCRIPTED.fullmatch(name)
+        if m is None:
+            return name, None
+        return m[1], x if m[2] == "x" else y if m[2] == "y" else int(m[2])
 
-def _eq6(pool, x, _y):
-    return pool.get("kappa", x), pool.get("jordan", x) * pool.get("kappa", 0)
+    def walk(node: ast.expr) -> ArithSeq | int:
+        match node:
+            case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
+                left, right = walk(left), walk(right)
+                with suppress(TypeError):  # an int added to a sequence is unsupported
+                    return _OPERATORS[type(op)](left, right)
+            case ast.Name(name):
+                return pool.get(*sequence(name))
+            case ast.Call(ast.Name("inverse"), [ast.Name(name)], []):
+                return pool.inverse(*sequence(name))
+            case ast.Constant(int(value)) if not isinstance(value, bool):
+                return value
+        raise ValueError(f"unsupported term {ast.unparse(node)!r} in identity statement")
 
-
-def _eq7(pool, x, _y):
-    two_mu_minus_eps = 2 * pool.get("mobius") - pool.get("epsilon")
-    return pool.inverse("kappa", x), pool.inverse("jordan", x) * two_mu_minus_eps
-
-
-def _eq8(pool, x, _y):
-    return (
-        pool.get("sigma", x),
-        pool.get("kappa", x) * (2 * pool.get("one") - pool.get("num_divisors")),
-    )
-
-
-def _eq9(pool, _x, _y):
-    return pool.get("kappa", 0), pool.get("one") * pool.get("K")
-
-
-def _eq10(pool, _x, _y):
-    return (
-        2 * pool.get("K"),
-        pool.get("epsilon") + pool.get("one") * pool.get("K"),
-    )
-
-
-def _eq12(pool, x, _y):
-    return pool.get("kappa", x), pool.get("id", x) * pool.get("K")
-
-
-def _eq13(pool, _x, _y):
-    return pool.inverse("K"), 2 * pool.get("epsilon") - pool.get("one")
-
-
-def _sc1(pool, _x, _y):
-    return pool.get("kappa", 1), pool.get("phi") * pool.get("kappa", 0)
-
-
-def _sc2(pool, _x, _y):
-    return pool.inverse("kappa", 0), 2 * pool.get("mobius") - pool.get("epsilon")
-
-
-def _jy(pool, x, y):
-    return (
-        pool.get("kappa", x) * pool.get("jordan", y),
-        pool.get("kappa", y) * pool.get("jordan", x),
-    )
+    side = side.strip()
+    try:
+        tree = ast.parse(side, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"cannot parse {side!r} in identity statement") from None
+    value = walk(tree.body)
+    if isinstance(value, ArithSeq):
+        return value
+    raise ValueError(f"unsupported term {side!r} in identity statement")
 
 
 REGISTRY: dict[str, IdentityCheck] = {
     c.code: c
     for c in (
-        IdentityCheck("EQ3", "kappa_x * sigma_y = kappa_y * sigma_x", 2, _eq3),
-        IdentityCheck("EQ4", "2*kappa_x = id_x + one * kappa_x", 1, _eq4),
-        IdentityCheck("EQ6", "kappa_x = jordan_x * kappa_0", 1, _eq6),
-        IdentityCheck(
-            "EQ7", "inverse(kappa_x) = inverse(jordan_x) * (2*mobius - epsilon)", 1, _eq7
-        ),
-        IdentityCheck("EQ8", "sigma_x = kappa_x * (2*one - num_divisors)", 1, _eq8),
-        IdentityCheck("EQ9", "kappa_0 = one * K", 0, _eq9),
-        IdentityCheck("EQ10", "2*K = epsilon + one * K", 0, _eq10),
-        IdentityCheck("EQ12", "kappa_x = id_x * K", 1, _eq12),
-        IdentityCheck("EQ13", "inverse(K) = 2*epsilon - one", 0, _eq13),
-        IdentityCheck("SC1", "kappa_1 = phi * kappa_0", 0, _sc1),
-        IdentityCheck("SC2", "inverse(kappa_0) = 2*mobius - epsilon", 0, _sc2),
-        IdentityCheck("JY", "kappa_x * jordan_y = kappa_y * jordan_x", 2, _jy),
+        IdentityCheck("EQ3", "kappa_x * sigma_y = kappa_y * sigma_x"),
+        IdentityCheck("EQ4", "2*kappa_x = id_x + one * kappa_x"),
+        IdentityCheck("EQ6", "kappa_x = jordan_x * kappa_0"),
+        IdentityCheck("EQ7", "inverse(kappa_x) = inverse(jordan_x) * (2*mobius - epsilon)"),
+        IdentityCheck("EQ8", "sigma_x = kappa_x * (2*one - num_divisors)"),
+        IdentityCheck("EQ9", "kappa_0 = one * K"),
+        IdentityCheck("EQ10", "2*K = epsilon + one * K"),
+        IdentityCheck("EQ12", "kappa_x = id_x * K"),
+        IdentityCheck("EQ13", "inverse(K) = 2*epsilon - one"),
+        IdentityCheck("SC1", "kappa_1 = phi * kappa_0"),
+        IdentityCheck("SC2", "inverse(kappa_0) = 2*mobius - epsilon"),
+        IdentityCheck("JY", "kappa_x * jordan_y = kappa_y * jordan_x"),
     )
 }
 
@@ -222,7 +209,10 @@ def check_identity(
     elif pool.n_max != n_max:
         raise ValueError(f"pool n_max {pool.n_max} does not match {n_max}")
 
-    lhs, rhs = check.evaluator(pool, x, y)
+    sides = check.description.split("=")
+    if len(sides) != 2:
+        raise ValueError(f"identity {code} is not one statement lhs = rhs")
+    lhs, rhs = (_evaluate(side, pool, x, y) for side in sides)
     mismatch = compare_sequences(lhs, rhs)
     if mismatch is None:
         return IdentityReport(code, x, y, n_max, True)

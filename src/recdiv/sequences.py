@@ -289,21 +289,7 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     may use.
     """
     _require_int(n_max)
-    if name not in BUILTIN_NAMES:
-        raise ValueError(
-            f"unknown function identifier {name!r}; expected one of "
-            + ", ".join(BUILTIN_NAMES)
-        )
-    if name in PARAMETRIC_NAMES:
-        if x is None:
-            raise ValueError(f"generator {name!r} requires the exponent x")
-        _require_int(x, 0, f"exponent x must be a nonnegative integer, got {x!r}")
-        label = f"{name}_{x}"
-    else:
-        if x is not None:
-            raise ValueError(f"generator {name!r} takes no exponent")
-        label = name
-
+    label = _generator_label(name, x)
     try:
         # No list holds it, or it cannot fit: fail before the list grows.
         power = x if name in ("id", "sigma", "kappa") else 0  # f(n) >= n**x
@@ -340,6 +326,23 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
         ) from None
 
     return ArithSeq._from_padded(padded, label)
+
+
+def _generator_label(name: str, x: int | None) -> str:
+    """The label gen_builtin gives `name` at exponent x; ValueError if they do not fit."""
+    if name not in BUILTIN_NAMES:
+        raise ValueError(
+            f"unknown function identifier {name!r}; expected one of "
+            + ", ".join(BUILTIN_NAMES)
+        )
+    if name not in PARAMETRIC_NAMES:
+        if x is not None:
+            raise ValueError(f"generator {name!r} takes no exponent")
+        return name
+    if x is None:
+        raise ValueError(f"generator {name!r} requires the exponent x")
+    _require_int(x, 0, f"exponent x must be a nonnegative integer, got {x!r}")
+    return f"{name}_{x}"
 
 
 # Estimated bytes per tabulated term: a list pointer plus one int object

@@ -108,6 +108,19 @@ class ClosedFormReport:
     passed: bool
 
 
+def _finite_s(s: float) -> float:
+    """s as a float; ValueError unless it is finite."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError("s must be a finite real number")
+    return s
+
+
+def _require_positive_tol(tol: float) -> None:
+    if not tol > 0.0:  # also refuses nan
+        raise ValueError("tol must be positive")
+
+
 def _euler_maclaurin(s: float, m: int) -> tuple[float, float]:
     """Zeta estimate with cutoff m and a bound on its truncation error.
 
@@ -135,13 +148,10 @@ def zeta(s: float, tol: float = 1e-12) -> ZetaValue:
     the returned abs_error_bound (truncation plus cushion) is larger than
     tol but still honest.
     """
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError("s must be a finite real number")
+    s = _finite_s(s)
     if s <= 1.0:
         raise DivergenceError(f"zeta diverges at s = {s:g} (requires s > 1)")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _require_positive_tol(tol)
     tol = max(float(tol), TOL_FLOOR)
 
     # Past s = 1100 every term but 1 underflows, so evaluate there: past s ~ 1e44
@@ -166,9 +176,7 @@ def dirichlet_partial_sum(f: ArithSeq, s: float) -> SeriesPoint:
     (math.fsum); convergence across growing n_max is the caller's
     concern, so no domain restriction is placed on s.
     """
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError("s must be a finite real number")
+    s = _finite_s(s)
     return SeriesPoint(s, f.n_max, _fsum(_float_terms(f, s), f, s))
 
 
@@ -228,11 +236,8 @@ def verify_closed_form(
     """
     _require_int(x, 0, "x must be a nonnegative integer")
     _require_int(n_max)
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError("s must be a finite real number")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    s = _finite_s(s)
+    _require_positive_tol(tol)
 
     # domain guard: the denominator 2 - zeta(s) must be positive
     if s <= 1.0 or (den := zeta(s)).value >= 2.0:
@@ -279,8 +284,7 @@ def find_singularity(tol: float = 1e-10) -> float:
     zeta is strictly decreasing on (1, oo), zeta(1.5) > 2 > zeta(2), so
     the bracket is valid; bisection stops at width tol.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _require_positive_tol(tol)
     tol = max(float(tol), TOL_FLOOR)
     lo, hi = 1.5, 2.0
     inner = max(min(tol * 1e-2, 1e-12), TOL_FLOOR)

@@ -119,11 +119,7 @@ class TestCheck:
 
     def test_false_identity_fails_end_to_end(self, capsys, tmp_path, monkeypatch):
         # kappa_0 = num_divisors holds at n = 1, 2, 3 and first fails at n = 4.
-        false = IdentityCheck(
-            "ZZ", "kappa_0 = num_divisors", 0,
-            lambda pool, _x, _y: (pool.get("kappa", 0), pool.get("num_divisors")),
-        )
-        monkeypatch.setitem(REGISTRY, "ZZ", false)
+        monkeypatch.setitem(REGISTRY, "ZZ", IdentityCheck("ZZ", "kappa_0 = num_divisors"))
         r = check_identity("ZZ", 10)
         assert (r.passed, r.first_failure_n, r.lhs_value, r.rhs_value) == (False, 4, 4, 3)
 
@@ -223,6 +219,21 @@ class TestOeisCompare:
         code, out, _ = run(capsys, "oeis-compare", "--fn", "K", "--bfile", str(path))
         assert code == 0
         assert "nothing to compare" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--fn", "kappa"], "error: generator 'kappa' requires the exponent x"),
+        (["--fn", "one", "--x", "3"], "error: generator 'one' takes no exponent"),
+        (["--fn", "sigma", "--x", "-1"], "error: exponent x must be a nonnegative integer, got -1"),
+    ], ids=["kappa-without-x", "one-with-x", "sigma-negative-x"])
+    def test_usage_errors_come_before_the_bfile_is_read(self, capsys, tmp_path, argv, message):
+        # With no data lines to tabulate, only an up-front check can refuse them.
+        path = tmp_path / "empty.txt"
+        path.write_text("# no data\n")
+        code, out, err = run(capsys, "oeis-compare", *argv, "--bfile", str(path))
+        assert (code, out, err) == (2, "", message + "\n")
+        # An absent b-file is never opened: the usage error is the one reported.
+        code, _, err = run(capsys, "oeis-compare", *argv, "--bfile", str(tmp_path / "absent.txt"))
+        assert (code, err) == (2, message + "\n")
 
 
 class TestSeries:

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from recdiv.identities import (
     REGISTRY,
+    IdentityCheck,
     SequencePool,
     check_all,
     check_identity,
@@ -58,6 +62,59 @@ class TestRegistry:
     def test_descriptions_are_nonempty(self):
         for check in REGISTRY.values():
             assert check.description.strip()
+
+    def test_readme_table_shows_each_statement_verbatim(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| code | statement"))
+        rows = {}
+        for line in lines[start + 2 :]:  # past the header and its rule
+            if not line.startswith("|"):
+                break
+            code, statement = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[code] = statement
+        assert rows == {code: check.description for code, check in REGISTRY.items()}
+
+
+class TestStatements:
+    @pytest.mark.parametrize("statement, term", [
+        ("kappa_x ** 2 = kappa_x", "kappa_x ** 2"),
+        ("kappa_x / K = id_x", "kappa_x / K"),
+        ("inverse(2*K) = K", "inverse(2 * K)"),
+        ("K = 1 + K", "1 + K"),
+        ("K = -K", "-K"),
+        ("2*3 = K", "2*3"),
+    ])
+    def test_an_unsupported_term_is_named(self, monkeypatch, statement, term):
+        monkeypatch.setitem(REGISTRY, "ZZ", IdentityCheck("ZZ", statement))
+        with pytest.raises(ValueError, match=f"unsupported term {re.escape(repr(term))}"):
+            check_identity("ZZ", 10, x=1)
+
+    def test_a_statement_needs_one_equals_sign(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "ZZ", IdentityCheck("ZZ", "K = K = K"))
+        with pytest.raises(ValueError, match="not one statement"):
+            check_identity("ZZ", 10)
+
+    def test_arity_comes_from_the_subscripts(self):
+        def arity(statement):
+            return IdentityCheck("ZZ", statement).exponents_required
+
+        assert arity("num_divisors = one * one") == 0
+        assert arity("kappa_2 = id_2 * K") == 0
+        assert arity("sigma_x = one * id_x") == 1
+        assert arity("sigma_x * id_y = sigma_y * id_x") == 2
+
+    def test_a_new_statement_is_checked_as_written(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "ZZ", IdentityCheck("ZZ", "sigma_x = one * id_x"))
+        assert check_identity("ZZ", 300, x=2).passed
+        with pytest.raises(ValueError, match="requires exponent x"):
+            check_identity("ZZ", 10)
+        reports = [r for r in check_all(50, [0, 3]) if r.code == "ZZ"]
+        assert [(r.x, r.y, r.passed) for r in reports] == [(0, None, True), (3, None, True)]
+        # The subscripts carry the exponents: sigma_2 against one * id_3 first fails at n = 2.
+        monkeypatch.setitem(REGISTRY, "ZZ", IdentityCheck("ZZ", "sigma_2 = one * id_x"))
+        r = check_identity("ZZ", 10, x=3)
+        assert (r.passed, r.first_failure_n, r.lhs_value, r.rhs_value) == (False, 2, 5, 9)
 
 
 class TestCheckIdentity:
