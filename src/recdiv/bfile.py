@@ -11,6 +11,13 @@ dense file costs one int object per line, its value.  Parsing splits
 the text into lines about 1 MiB at a time, and formatting joins 4096
 lines at a time, so the per-line strings of a whole file never exist
 at once.
+
+A text can also be checked against values without parsing it:
+`_canonical_rows` reads n from the newline count and the last line, and
+`_is_formatted` tells whether the text is exactly `format_bfile` of the
+values, formatting and comparing 4096 lines at a time.  Only text byte
+for byte as `format_bfile` writes it passes; anything else (a comment,
+a leading zero, a short file, a wrong value) needs the parser.
 """
 
 from __future__ import annotations
@@ -130,3 +137,28 @@ def format_bfile(values: Iterable[int], start: int = 1) -> str:
     while batch := "".join([f"{i} {v}\n" for i, v in islice(pairs, _BATCH_LINES)]):
         batches.append(batch)
     return "".join(batches)
+
+
+def _canonical_rows(text: str) -> int:
+    """The n of a text that may be `format_bfile` of n values, else 0.
+
+    n is the number of newlines in the text, and its last line must start
+    "n ", so a table built to n is never longer than the file.
+    """
+    n = text.count("\n")
+    return n if text.startswith(f"{n} ", text.rfind("\n", 0, -1) + 1) else 0
+
+
+def _is_formatted(text: str, values: Iterable[int]) -> bool:
+    """Whether `text` is exactly `format_bfile(values)`.
+
+    It formats and compares _BATCH_LINES lines at a time, in place in
+    `text`, and stops at the first batch that differs.
+    """
+    values, pos, start = iter(values), 0, 1
+    while chunk := list(islice(values, _BATCH_LINES)):
+        batch = format_bfile(chunk, start)
+        if not text.startswith(batch, pos):
+            return False
+        pos, start = pos + len(batch), start + len(chunk)
+    return pos == len(text)

@@ -5,6 +5,11 @@ the identity suite), oeis-compare (diff a generator against a local
 b-file), series (compare a partial Dirichlet sum with its closed form),
 and bench (time the sieves against the naive recursion).
 
+oeis-compare first checks whether the b-file's text is exactly what
+`gen --format bfile` writes for the generator, and then agrees without
+parsing it; any other text is parsed and compared entry by entry, so
+its messages, line numbers and exit codes do not depend on that check.
+
 Exit codes: 0 success, 1 mathematical mismatch, 2 usage, IO or
 out-of-memory error.
 A reader that closes the output pipe early ends the run quietly with 0.
@@ -19,9 +24,12 @@ import sys
 import time
 from itertools import compress
 from operator import ne
+from pathlib import Path
 
 from . import oracles
-from .bfile import _BATCH_LINES, BFileParseError, format_bfile, parse_bfile
+from .bfile import (
+    _BATCH_LINES, BFileParseError, _canonical_rows, _is_formatted, format_bfile, parse_bfile_text,
+)
 from .identities import check_all, registered_codes
 from .sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, _generator_label, gen_builtin
 from .series import DivergenceError, SingularityDomainError, verify_closed_form
@@ -157,12 +165,28 @@ def cmd_check(args) -> int:
 
 def cmd_oeis_compare(args) -> int:
     _generator_label(args.fn, args.x)  # a usage error comes before the b-file is read
-    bf = parse_bfile(args.bfile)
+    path = Path(args.bfile)
+    text = path.read_text(encoding="ascii")
+    # Fast path: text exactly as `gen --format bfile` writes it agrees, unparsed.
+    n = _canonical_rows(text)
+    seq = None
+    if n:
+        try:
+            seq = gen_builtin(args.fn, n, x=args.x)
+        except MemoryError:
+            pass  # the exact path reports a parse error first, else this again
+        else:
+            if _is_formatted(text, seq):
+                print(f"{seq.label} agrees with {path.name} on all {n} entries")
+                return 0
+    bf = parse_bfile_text(text, source_name=path.name)
+    del text  # only the columns are needed from here
     indices, expected = bf.indices, bf.values
     if not indices:
         print(f"{args.bfile}: no data lines; nothing to compare")
         return 0
-    seq = gen_builtin(args.fn, indices[-1], x=args.x)
+    if seq is None or seq.n_max != indices[-1]:
+        seq = gen_builtin(args.fn, indices[-1], x=args.x)
     padded = seq._vals  # f(n) at position n, read in C with no copy
     index = next(compress(indices, map(ne, map(padded.__getitem__, indices), expected)), None)
     if index is not None:

@@ -97,6 +97,35 @@ class TestFormat:
         assert [i for i, _ in bf.entries] == [1, 2, 3, 4, 5]
 
 
+class TestCanonicalText:
+    @given(
+        st.lists(st.integers(), max_size=20),
+        st.text(alphabet="0123456789 -\n", max_size=8),
+        st.integers(0, 300),
+    )
+    def test_is_formatted_is_equality_with_format_bfile(self, values, junk, cut):
+        text = format_bfile(values)
+        # Batches of 3 lines, so short tables span several.
+        with patch.object(bfile, "_BATCH_LINES", 3):
+            assert bfile._is_formatted(text, values)
+            for edited in (text[:cut] + junk + text[cut:], text[:cut] + text[cut + 1 :]):
+                assert bfile._is_formatted(edited, values) == (edited == text)
+
+    @pytest.mark.parametrize("text, rows", [
+        ("", 0),
+        ("1 4\n", 1),
+        ("1 4\n2 5\n3 6\n", 3),
+        ("1 4\n2 5\n3 6", 0),
+        ("1 4\n2 5\n3 6\n\n", 0),
+        ("1 4\n3 5\n", 0),
+        ("1 4\n02 5\n", 0),
+        ("# c\n2 5\n", 2),
+        ("1 4\n2 5\n# 3\n", 0),
+    ])
+    def test_canonical_rows_reads_the_last_line(self, text, rows):
+        assert bfile._canonical_rows(text) == rows
+
+
 # Text made of b-file material (digits, signs, comments, blank lines), so
 # most examples reach the integer and index checks, not only the token count.
 bfile_like_text = st.text(alphabet="0123456789 -+_#x\t\r\n", max_size=200)

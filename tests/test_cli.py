@@ -5,13 +5,15 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 from recdiv.cli import _json_value, main
 from recdiv.identities import REGISTRY, IdentityCheck, IdentityReport, check_identity
-from recdiv.bfile import format_bfile
+from recdiv.bfile import BFileParseError, format_bfile, parse_bfile_text
 from recdiv.sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, gen_builtin
 
 
@@ -146,6 +148,45 @@ class TestCheck:
         assert run(capsys, "check", "--n", "10", "--x", "-2")[0] == 2
 
 
+def _refuse_to_parse(*args, **kwargs):
+    raise AssertionError("a b-file that gen wrote was parsed")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("out of memory tabulating a test table")
+
+
+def _edit_line(i, change):
+    """Apply ``change`` to line i (1-based, newline kept) of a b-file text."""
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[i - 1] = change(lines[i - 1])
+        return "".join(lines)
+    return edit
+
+
+def _bump_last_digit(line):
+    return line[:-2] + str((int(line[-2]) + 1) % 10) + "\n"
+
+
+_AGREE = (0, "K agrees with K.txt on all 12293 entries\n", "")
+
+
+def _parsed_comparison(fn, text, path):
+    """oeis-compare's (exit code, stdout, stderr) from a full parse and an entry-by-entry scan."""
+    try:
+        bf = parse_bfile_text(text, source_name=path.name)
+    except BFileParseError as exc:
+        return 2, "", f"b-file parse error: {exc}\n"
+    if not bf.values:
+        return 0, f"{path}: no data lines; nothing to compare\n", ""
+    seq = gen_builtin(fn, bf.indices[-1])
+    for index, value in bf.entries:
+        if seq[index] != value:
+            return 1, "", f"mismatch at index {index}: {seq.label} gives {seq[index]}, b-file {path.name} has {value}\n"
+    return 0, f"{seq.label} agrees with {path.name} on all {len(bf)} entries\n", ""
+
+
 class TestOeisCompare:
     def test_round_trip_every_builtin(self, capsys, tmp_path):
         for fn in BUILTIN_NAMES:
@@ -212,6 +253,78 @@ class TestOeisCompare:
         assert "all 10 entries" in out
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit  # restored for library callers
+
+    def test_written_file_agrees_without_a_parse(self, capsys, tmp_path, monkeypatch):
+        # Three full 4096-line batches and part of a fourth; mobius has negative values.
+        n = 3 * 4096 + 5
+        for argv, label in ((["--fn", "kappa", "--x", "1"], "kappa_1"), (["--fn", "mobius"], "mobius")):
+            path = tmp_path / f"{label}.txt"
+            path.write_text(run(capsys, "gen", *argv, "--n", str(n), "--format", "bfile")[1])
+            with monkeypatch.context() as m:
+                m.setattr("recdiv.cli.parse_bfile_text", _refuse_to_parse)
+                code, out, err = run(capsys, "oeis-compare", *argv, "--bfile", str(path))
+            assert (code, out, err) == (0, f"{label} agrees with {path.name} on all {n} entries\n", "")
+
+    def test_parse_error_comes_before_a_table_past_memory(self, capsys, tmp_path, monkeypatch):
+        # The last line "3 2" ends the third line, so the text passes the row count.
+        path = tmp_path / "bad_line_2.txt"
+        path.write_text("1 1\n2 x\n3 2\n")
+        monkeypatch.setattr("recdiv.cli.gen_builtin", _out_of_memory)
+        code, out, err = run(capsys, "oeis-compare", "--fn", "K", "--bfile", str(path))
+        assert (code, out, err) == (2, "", "b-file parse error: line 2: non-integer token in '2 x'\n")
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda t: "# comment\n" + t, _AGREE),
+        (lambda t: t + "\n", _AGREE),
+        (lambda t: t[:-1], _AGREE),
+        (lambda t: t.replace("\n", "\r\n"), _AGREE),
+        (_edit_line(12292, lambda s: s[:-1] + "\f"), _AGREE),
+        (_edit_line(7, lambda s: "0" + s), _AGREE),
+        (_edit_line(7, lambda s: s.replace(" ", " 0")), _AGREE),
+        (_edit_line(7, lambda s: s.replace(" ", " +")), _AGREE),
+        (_edit_line(10, lambda s: "1_" + s[1:]), _AGREE),
+        (_edit_line(7, lambda s: s.replace(" ", "  ")), _AGREE),
+        (_edit_line(7, lambda s: s.replace(" ", "\t")), _AGREE),
+        (_edit_line(6000, lambda s: ""), (0, "K agrees with K.txt on all 12292 entries\n", "")),
+        (lambda t: t + "12294 1\n", (1, "", "mismatch at index 12294: K gives 44, b-file K.txt has 1\n")),
+        (_edit_line(100, _bump_last_digit), (1, "", "mismatch at index 100: K gives 26, b-file K.txt has 27\n")),
+        (_edit_line(6000, _bump_last_digit), (1, "", "mismatch at index 6000: K gives 7968, b-file K.txt has 7969\n")),
+        (_edit_line(12290, _bump_last_digit), (1, "", "mismatch at index 12290: K gives 13, b-file K.txt has 14\n")),
+    ], ids=[
+        "leading-comment", "trailing-blank-line", "no-final-newline", "crlf", "form-feed-ends-line-n-1",
+        "index-leading-zero", "value-leading-zero", "plus-sign", "underscore", "two-spaces", "tab",
+        "missing-middle-line", "extra-line-past-n",
+        "digit-in-first-batch", "digit-in-middle-batch", "digit-in-last-batch",
+    ])
+    def test_non_canonical_text_reports_as_the_exact_parse_does(self, capsys, tmp_path, edit, expected):
+        # K on 1..3*4096+5: the digit edits fall in the first, a middle and the last
+        # batch.  The file is read with universal newlines, so CRLF reads as LF.  A
+        # form feed also ends a line, so the last line "12292 44\f12293 3" passes
+        # the row count with n = 12292 but parses to index 12293.
+        text = run(capsys, "gen", "--fn", "K", "--n", "12293", "--format", "bfile")[1]
+        path = tmp_path / "K.txt"
+        path.write_bytes(edit(text).encode("ascii"))
+        assert run(capsys, "oeis-compare", "--fn", "K", "--bfile", str(path)) == expected
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(["K", "mobius"]),
+        st.integers(1, 300),
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.sampled_from("0123456789 -+_#\n\r\t"),
+        st.data(),
+    )
+    def test_one_character_edit_matches_the_parsed_comparison(
+        self, capsys, tmp_path, fn, n, kind, char, data
+    ):
+        text = run(capsys, "gen", "--fn", fn, "--n", str(n), "--format", "bfile")[1]
+        removed = 0 if kind == "insert" else 1
+        pos = data.draw(st.integers(0, len(text) - removed))
+        text = text[:pos] + ("" if kind == "delete" else char) + text[pos + removed :]
+        path = tmp_path / "edited.txt"
+        path.write_bytes(text.encode("ascii"))
+        got = run(capsys, "oeis-compare", "--fn", fn, "--bfile", str(path))
+        assert got == _parsed_comparison(fn, text, path)
 
     def test_comments_only_file(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
