@@ -8,9 +8,16 @@ The parser builds a `BFile`: two parallel columns, ``indices`` and
 ``values``, not a tuple per line.  Indices that run 1..n, as in every
 file `format_bfile` writes, are stored as ``range(1, n + 1)``, so a
 dense file costs one int object per line, its value.  Parsing splits
-the text into lines about 1 MiB at a time, and formatting joins 4096
-lines at a time, so the per-line strings of a whole file never exist
-at once.
+the text into lines about 1 MiB at a time, so the per-line strings of a
+whole file never exist at once.
+
+Formatting fills in a template of the 1000 lines "@000 %d\\n" to
+"@999 %d\\n", built on first use: the lines of indices k*1000 to
+k*1000 + 999 are a slice of it with '@' replaced by k, and one ``%``
+with a tuple of their values makes them all.  Indices below 1000 take
+one f-string each.  `recdiv gen` formats a table 4096 lines at a time
+(csv rows too, from the same template with ',' for the space), so a
+slice may start in the middle of a block.
 
 A text can also be checked against values without parsing it:
 `_canonical_rows` reads n from the newline count and the last line, and
@@ -22,15 +29,17 @@ a leading zero, a short file, a wrong value) needs the parser.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["BFile", "BFileParseError", "parse_bfile", "parse_bfile_text", "format_bfile"]
 
-# Characters of text per parse batch (about 1 MiB), and lines per format
-# batch (about 64 KiB of a 10^6-line kappa_1 file), also the slice of a
-# table that `recdiv gen` formats and writes at a time.
+# Characters of text per parse batch (about 1 MiB), and the lines of a
+# table that `recdiv gen` formats and writes at a time and `_is_formatted`
+# compares at a time (about 64 KiB of a 10^6-line kappa_1 file); within a
+# batch, `_format_lines` fills in the template a block of 1000 at a time.
 _BATCH_CHARS = 1 << 20
 _BATCH_LINES = 1 << 12
 
@@ -128,15 +137,38 @@ def parse_bfile(path: str | Path) -> BFile:
 
 
 def format_bfile(values: Iterable[int], start: int = 1) -> str:
-    """Render values as b-file lines "n value" from n = start, newline-terminated.
+    """Render int values as b-file lines "n value" from n = start, newline-terminated.
 
     ``start`` lets a writer format a long table a slice at a time.
     """
-    pairs = enumerate(values, start)
-    batches = []
-    while batch := "".join([f"{i} {v}\n" for i, v in islice(pairs, _BATCH_LINES)]):
-        batches.append(batch)
-    return "".join(batches)
+    return _format_lines(values, start, " ")
+
+
+@cache
+def _template(sep: str) -> str:
+    """The lines "@000{sep}%d\\n" to "@999{sep}%d\\n" of one block of 1000 indices."""
+    return "".join([f"@{j:03d}{sep}%d\n" for j in range(1000)])
+
+
+def _format_lines(values: Iterable[int], start: int, sep: str) -> str:
+    """Lines "n{sep}value" from n = start, for a one-character ``sep``.
+
+    Indices below 1000 take one f-string each.  From 1000 on, the lines of
+    one block of 1000 indices are a slice of `_template` with '@' replaced
+    by the thousands, filled in by one ``%``.
+    """
+    values = iter(values)
+    # zip ends with the range before it takes a value, leaving values at index 1000.
+    parts = [f"{i}{sep}{v}\n" for i, v in zip(range(start, 1000), values)]
+    template = _template(sep)
+    width = len(template) // 1000
+    i = max(start, 1000)
+    while chunk := tuple(islice(values, 1000 - i % 1000)):
+        off = i % 1000
+        block = template[width * off : width * (off + len(chunk))]
+        parts.append(block.replace("@", str(i // 1000)) % chunk)
+        i += len(chunk)
+    return "".join(parts)
 
 
 def _canonical_rows(text: str) -> int:

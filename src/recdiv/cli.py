@@ -28,7 +28,8 @@ from pathlib import Path
 
 from . import oracles
 from .bfile import (
-    _BATCH_LINES, BFileParseError, _canonical_rows, _is_formatted, format_bfile, parse_bfile_text,
+    _BATCH_LINES, BFileParseError, _canonical_rows, _format_lines, _is_formatted, format_bfile,
+    parse_bfile_text,
 )
 from .identities import check_all, registered_codes
 from .sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, _generator_label, gen_builtin
@@ -103,17 +104,19 @@ def _json_value(v: int):
 
 def cmd_gen(args) -> int:
     seq = gen_builtin(args.fn, args.n, x=args.x)
+    if args.format == "json":
+        sys.stdout.write(json.dumps([_json_value(v) for v in seq]) + "\n")
+        return 0
     if args.format == "csv":
         sys.stdout.write("n,value\n")
-        for n, v in enumerate(seq, start=1):
-            sys.stdout.write(f"{n},{v}\n")
-    elif args.format == "json":
-        sys.stdout.write(json.dumps([_json_value(v) for v in seq]) + "\n")
-    else:
-        # A batch of lines at a time, so the whole text never exists at once.
-        padded = seq._vals
-        for lo in range(1, seq.n_max + 1, _BATCH_LINES):
-            sys.stdout.write(format_bfile(padded[lo : lo + _BATCH_LINES], start=lo))
+    # A batch of lines at a time, so the whole text never exists at once.
+    padded = seq._vals
+    for lo in range(1, seq.n_max + 1, _BATCH_LINES):
+        chunk = padded[lo : lo + _BATCH_LINES]
+        if args.format == "csv":
+            sys.stdout.write(_format_lines(chunk, lo, ","))
+        else:
+            sys.stdout.write(format_bfile(chunk, start=lo))
     return 0
 
 
@@ -169,7 +172,6 @@ def cmd_oeis_compare(args) -> int:
     text = path.read_text(encoding="ascii")
     # Fast path: text exactly as `gen --format bfile` writes it agrees, unparsed.
     n = _canonical_rows(text)
-    seq = None
     if n:
         try:
             seq = gen_builtin(args.fn, n, x=args.x)
@@ -179,14 +181,14 @@ def cmd_oeis_compare(args) -> int:
             if _is_formatted(text, seq):
                 print(f"{seq.label} agrees with {path.name} on all {n} entries")
                 return 0
+            del seq  # not held through the parse: it is built again after it
     bf = parse_bfile_text(text, source_name=path.name)
     del text  # only the columns are needed from here
     indices, expected = bf.indices, bf.values
     if not indices:
         print(f"{args.bfile}: no data lines; nothing to compare")
         return 0
-    if seq is None or seq.n_max != indices[-1]:
-        seq = gen_builtin(args.fn, indices[-1], x=args.x)
+    seq = gen_builtin(args.fn, indices[-1], x=args.x)
     padded = seq._vals  # f(n) at position n, read in C with no copy
     index = next(compress(indices, map(ne, map(padded.__getitem__, indices), expected)), None)
     if index is not None:
