@@ -15,14 +15,15 @@ Formatting fills in a template of the 1000 lines "@000 %d\\n" to
 "@999 %d\\n", built on first use: the lines of indices k*1000 to
 k*1000 + 999 are a slice of it with '@' replaced by k, and one ``%``
 with a tuple of their values makes them all.  Indices below 1000 take
-one f-string each.  `recdiv gen` formats a table 4096 lines at a time
-(csv rows too, from the same template with ',' for the space), so a
-slice may start in the middle of a block.
+one f-string each.  One loop, `_batches`, cuts a table into strings of
+4096 lines, so a slice may start in the middle of a block: b-file lines
+through `format_bfile`, csv rows from the same template with ',' for the
+space.  `recdiv gen` writes those batches one at a time.
 
 A text can also be checked against values without parsing it:
 `_canonical_rows` reads n from the newline count and the last line, and
 `_is_formatted` tells whether the text is exactly `format_bfile` of the
-values, formatting and comparing 4096 lines at a time.  Only text byte
+values, comparing it with one of `_batches` at a time.  Only text byte
 for byte as `format_bfile` writes it passes; anything else (a comment,
 a leading zero, a short file, a wrong value) needs the parser.
 """
@@ -37,9 +38,9 @@ from typing import Iterable, Iterator, Sequence
 __all__ = ["BFile", "BFileParseError", "parse_bfile", "parse_bfile_text", "format_bfile"]
 
 # Characters of text per parse batch (about 1 MiB), and the lines of a
-# table that `recdiv gen` formats and writes at a time and `_is_formatted`
-# compares at a time (about 64 KiB of a 10^6-line kappa_1 file); within a
-# batch, `_format_lines` fills in the template a block of 1000 at a time.
+# table per string of `_batches` (about 64 KiB of a 10^6-line kappa_1
+# file); within a batch, `_format_lines` fills in the template a block of
+# 1000 at a time.
 _BATCH_CHARS = 1 << 20
 _BATCH_LINES = 1 << 12
 
@@ -181,16 +182,23 @@ def _canonical_rows(text: str) -> int:
     return n if text.startswith(f"{n} ", text.rfind("\n", 0, -1) + 1) else 0
 
 
+def _batches(values: Iterable[int], sep: str = " ") -> Iterator[str]:
+    """Lines "n{sep}value" from n = 1, _BATCH_LINES per string, via format_bfile for " "."""
+    values, start = iter(values), 1
+    while chunk := list(islice(values, _BATCH_LINES)):
+        yield format_bfile(chunk, start) if sep == " " else _format_lines(chunk, start, sep)
+        start += len(chunk)
+
+
 def _is_formatted(text: str, values: Iterable[int]) -> bool:
     """Whether `text` is exactly `format_bfile(values)`.
 
-    It formats and compares _BATCH_LINES lines at a time, in place in
-    `text`, and stops at the first batch that differs.
+    It compares one of `_batches` at a time, in place in `text`, and
+    stops at the first batch that differs.
     """
-    values, pos, start = iter(values), 0, 1
-    while chunk := list(islice(values, _BATCH_LINES)):
-        batch = format_bfile(chunk, start)
+    pos = 0
+    for batch in _batches(values):
         if not text.startswith(batch, pos):
             return False
-        pos, start = pos + len(batch), start + len(chunk)
+        pos += len(batch)
     return pos == len(text)

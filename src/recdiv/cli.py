@@ -27,13 +27,10 @@ from operator import ne
 from pathlib import Path
 
 from . import oracles
-from .bfile import (
-    _BATCH_LINES, BFileParseError, _canonical_rows, _format_lines, _is_formatted, format_bfile,
-    parse_bfile_text,
-)
+from .bfile import BFileParseError, _batches, _canonical_rows, _is_formatted, parse_bfile_text
 from .identities import check_all, registered_codes
-from .sequences import BUILTIN_NAMES, PARAMETRIC_NAMES, _generator_label, gen_builtin
-from .series import DivergenceError, SingularityDomainError, verify_closed_form
+from .sequences import BUILTIN_NAMES, _generator_label, gen_builtin
+from .series import SingularityDomainError, verify_closed_form
 
 __all__ = ["main", "build_parser"]
 
@@ -110,13 +107,8 @@ def cmd_gen(args) -> int:
     if args.format == "csv":
         sys.stdout.write("n,value\n")
     # A batch of lines at a time, so the whole text never exists at once.
-    padded = seq._vals
-    for lo in range(1, seq.n_max + 1, _BATCH_LINES):
-        chunk = padded[lo : lo + _BATCH_LINES]
-        if args.format == "csv":
-            sys.stdout.write(_format_lines(chunk, lo, ","))
-        else:
-            sys.stdout.write(format_bfile(chunk, start=lo))
+    for batch in _batches(seq, "," if args.format == "csv" else " "):
+        sys.stdout.write(batch)
     return 0
 
 

@@ -119,7 +119,7 @@ _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.m
 
 
 def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> ArithSeq:
-    """One side of a statement, built through the pool and ArithSeq's operators."""
+    """One side of a statement, from the pool's values and their + - *; never a bare int."""
 
     def sequence(name: str) -> tuple[str, int | None]:
         m = _SUBSCRIPTED.fullmatch(name)
@@ -147,9 +147,9 @@ def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> Ar
     except SyntaxError:
         raise ValueError(f"cannot parse {side!r} in identity statement") from None
     value = walk(tree.body)
-    if isinstance(value, ArithSeq):
-        return value
-    raise ValueError(f"unsupported term {side!r} in identity statement")
+    if isinstance(value, int):
+        raise ValueError(f"unsupported term {side!r} in identity statement")
+    return value
 
 
 REGISTRY: dict[str, IdentityCheck] = {

@@ -45,7 +45,7 @@ import os
 import sys
 from itertools import chain, islice, repeat
 from math import inf, isqrt
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -165,18 +165,17 @@ class ArithSeq:
         return NotImplemented
 
     def __add__(self, other: ArithSeq) -> ArithSeq:
-        if not isinstance(other, ArithSeq):
-            return NotImplemented
-        self._require_same_range(other)
-        padded = [a + b for a, b in zip(self._vals, other._vals)]
-        return ArithSeq._from_padded(padded, f"{self.label}+{other.label}")
+        return self._elementwise(other, add, "+")
 
     def __sub__(self, other: ArithSeq) -> ArithSeq:
+        return self._elementwise(other, sub, "-")
+
+    def _elementwise(self, other: ArithSeq, op: Callable, sign: str) -> ArithSeq:
         if not isinstance(other, ArithSeq):
             return NotImplemented
         self._require_same_range(other)
-        padded = [a - b for a, b in zip(self._vals, other._vals)]
-        return ArithSeq._from_padded(padded, f"{self.label}-{other.label}")
+        padded = list(map(op, self._vals, other._vals))
+        return ArithSeq._from_padded(padded, f"{self.label}{sign}{other.label}")
 
     def _scaled(self, c: int) -> ArithSeq:
         return ArithSeq._from_padded([c * v for v in self._vals], f"{c}*{self.label}")
@@ -191,28 +190,22 @@ class ArithSeq:
 class RatSeq:
     """Dyadic-rational sequence on 1..n_max with one shared denominator 2^m.
 
-    Every entry is numerator(n) / 2^denominator_exponent.  Numerators are
-    stored unreduced.
+    Every entry is numerator(n) / 2^denominator_exponent.  The unreduced
+    numerators are an `ArithSeq`, shared if one is passed in, which checks
+    them and the index.
     """
 
     __slots__ = ("n_max", "denominator_exponent", "_nums")
 
     def __init__(self, numerators: Iterable[int], denominator_exponent: int) -> None:
-        nums = list(numerators)
-        if not nums:
-            raise ValueError("a RatSeq needs at least one entry (n_max >= 1)")
-        for v in nums:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"numerators must be exact integers, got {v!r}")
+        nums = numerators if isinstance(numerators, ArithSeq) else ArithSeq(numerators)
         e = denominator_exponent
         _require_int(e, 0, f"denominator exponent must be a nonnegative integer, got {e!r}")
-        self.n_max = len(nums)
+        self.n_max = nums.n_max
         self.denominator_exponent = denominator_exponent
-        self._nums = [0] + nums
+        self._nums = nums
 
     def numerator(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"sequence is defined on 1..{self.n_max}, got n={n}")
         return self._nums[n]
 
     def __getitem__(self, n: int):
@@ -221,7 +214,7 @@ class RatSeq:
         return Fraction(self.numerator(n), 1 << self.denominator_exponent)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(v) for v in self._nums[1:7])
+        head = ", ".join(map(str, islice(self._nums, 6)))
         tail = ", ..." if self.n_max > 6 else ""
         return (
             f"RatSeq(n_max={self.n_max}, 2^-{self.denominator_exponent} *"
@@ -640,19 +633,11 @@ def series_partial(kind: str, m: int, n_max: int, *, x: int | None = None) -> Ra
     if kind not in ("kappa", "K"):
         raise ValueError(f"kind must be 'kappa' or 'K', got {kind!r}")
     _require_int(m, 1, "term count m must be at least 1")
-    if kind == "kappa":
-        if x is None:
-            raise ValueError("kind 'kappa' requires the exponent x")
-        term = gen_builtin("id", n_max, x=x)
-    else:
-        if x is not None:
-            raise ValueError("kind 'K' takes no exponent")
-        term = gen_builtin("epsilon", n_max)
+    _generator_label(kind, x)  # kappa needs x, K takes none
+    term = gen_builtin("id", n_max, x=x) if kind == "kappa" else gen_builtin("epsilon", n_max)
     one = gen_builtin("one", n_max)
-    nums = [0] * (n_max + 1)
-    for k in range(1, m + 1):
-        if k > 1:
-            term = dirichlet_convolve(one, term)
-        tv = term._vals
-        nums = [2 * a + t for a, t in zip(nums, tv)]
-    return RatSeq(nums[1:], m)
+    total = term
+    for _ in range(m - 1):
+        term = one * term
+        total = 2 * total + term
+    return RatSeq(total, m)

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from recdiv.identities import (
     REGISTRY,
     IdentityCheck,
     SequencePool,
+    _evaluate,
     check_all,
     check_identity,
     compare_sequences,
@@ -115,6 +117,27 @@ class TestStatements:
         monkeypatch.setitem(REGISTRY, "ZZ", IdentityCheck("ZZ", "sigma_2 = one * id_x"))
         r = check_identity("ZZ", 10, x=3)
         assert (r.passed, r.first_failure_n, r.lhs_value, r.rhs_value) == (False, 2, 5, 9)
+
+    def test_any_values_with_ring_operators_evaluate(self):
+        # Each generator as its Dirichlet series at one point, where zeta(s) = 3/2:
+        # epsilon = 1, one = zeta(s), K = 1/(2 - zeta(s)).  EQ10 holds there too.
+        class SeriesAtAPoint:
+            zeta = Fraction(3, 2)
+            values = {"epsilon": Fraction(1), "one": zeta, "K": 1 / (2 - zeta)}
+
+            def get(self, name, x=None):
+                return self.values[name]
+
+            def inverse(self, name, x=None):
+                return 1 / self.values[name]
+
+        pool = SeriesAtAPoint()
+        sides = REGISTRY["EQ10"].description.split("=")
+        lhs, rhs = (_evaluate(side, pool, None, None) for side in sides)
+        assert lhs == rhs == Fraction(4)
+        assert _evaluate("inverse(K)", pool, None, None) == Fraction(1, 2)
+        with pytest.raises(ValueError, match=re.escape("unsupported term '2*3'")):
+            _evaluate("2*3", pool, None, None)
 
 
 class TestCheckIdentity:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import recdiv
 from recdiv import bfile, identities, oracles, sequences, series
 
@@ -32,3 +35,22 @@ def test_every_name_is_its_modules_object():
         for name in module.__all__:
             assert getattr(recdiv, name) is getattr(module, name), name
     assert isinstance(recdiv.__version__, str)
+
+
+def test_every_top_level_import_is_used():
+    # __init__ imports only to re-export; every other module names what it imports.
+    unused = []
+    for path in sorted(Path(recdiv.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in named:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
