@@ -2,12 +2,14 @@
 
 Every sequence is integer valued and tabulated on n = 1..n_max with
 Python's arbitrary-precision integers, so identity checks compare exact
-values and never round.  ``kappa``, ``K`` and the Dirichlet inverse are
-one sieve over multiples, a proper-divisor recursion of O(N log N) steps
-whose slice updates come in one order, from `_recursion_updates`.
-It and the Dirichlet convolution split at r = isqrt(N): up to r one
-slice update per d, above it one per multiplier m, so O(sqrt(N) log N)
-slice updates carry the O(N log N) operations, not N.  For kappa and K
+values and never round.  ``kappa``, ``K``, the Dirichlet inverse and
+the Dirichlet convolution take their slice updates in one order, from
+`_recursion_updates`: every pair (d, m) with m >= 2 and d m <= N, split
+at r = isqrt(N), up to r one slice update per d, above it one per block
+and multiplier m.  So O(sqrt(N) log N) slice updates carry the
+O(N log N) operations, not N.  The first three are one sieve over
+multiples, a proper-divisor recursion that reads the table it writes;
+the convolution reads a separate table.  For kappa and K
 the table starts in an ``array`` of 4-byte, else 8-byte lanes, and each
 slice update is one addition of Python ints holding the lanes as
 fixed-width fields.  An update that would carry across lanes is left
@@ -445,24 +447,27 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
 _PIECE = 1 << 16
 
 
-def _recursion_updates(n_max: int) -> Iterator[tuple]:
-    """The proper-divisor recursion on 1..n_max as slice updates, in order.
+def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
+    """Every pair (d, m) with m >= 2 and d m <= N as slice updates, in order.
 
     An update adds sources into the destination slice ``dst`` of the
-    table, and every source is final before it is read:
+    table:
 
     * ``(dst, d, ms)`` for d <= r = isqrt(N): entry d into its multiples
       d m for m in the slice ``ms``, in pieces of 2^16 entries or half
       the table, if less.  Ascending d, so all proper divisors of d have
       spread into it already.
-    * ``(dst, ds, m)`` per block [lo, lo + r) above r: the entries d in
-      the slice ``ds`` into d m, one multiplier m at a time.  A block's
-      proper divisors are at most (lo + r - 1) / 2 < lo, so it is final
-      once the blocks below it have spread.
+    * ``(dst, ds, m)`` per block [lo, lo + width) above r: the entries d
+      in the slice ``ds`` into d m, one multiplier m at a time.
 
-    Every pair (d, m) with m >= 2 and d m <= N comes once: O(N log N)
-    operations in one update per d and piece up to r, and about
-    sqrt(N) ln(N) / 2 above it.
+    The sieve and the inverse read their sources from the table they
+    write, so they keep the default width r: a block's proper divisors
+    are at most (lo + r - 1) / 2 < lo, so every source is final once the
+    blocks below it have spread.  The convolution reads a separate table
+    and passes width N: one block, one update per m.
+
+    O(N log N) operations in one update per d and piece up to r, and
+    about sqrt(N) ln(N) / 2 updates above it at width r, sqrt(N) at N.
     """
     r = isqrt(n_max)
     piece = max(min(_PIECE, n_max // 2), 1)
@@ -471,11 +476,12 @@ def _recursion_updates(n_max: int) -> Iterator[tuple]:
         for m0 in range(2, top + 1, piece):
             m1 = min(m0 + piece, top + 1)
             yield slice(m0 * d, m1 * d, d), d, slice(m0, m1)
-    # Blocks of r, not dyadic blocks [lo, 2 lo): those take fewer slices
-    # but update up to N / 4 entries at once, and a run of many series
-    # jobs then kept about 1.5 MiB more resident memory.
-    for lo in range(r + 1, n_max + 1, r):
-        hi = min(lo + r, n_max + 1)
+    # By default blocks of r, not dyadic blocks [lo, 2 lo): those take
+    # fewer slices but update up to N / 4 entries at once, and a run of
+    # many series jobs then kept about 1.5 MiB more resident memory.
+    width = width or r
+    for lo in range(r + 1, n_max + 1, width):
+        hi = min(lo + width, n_max + 1)
         for m in range(2, n_max // lo + 1):
             top = min(hi - 1, n_max // m)
             yield slice(m * lo, m * top + 1, m), slice(lo, top + 1), m
@@ -527,18 +533,26 @@ _BYTEORDER = sys.byteorder
 
 
 def _apply_to_list(
-    vals: list[int], updates: Iterator[tuple], w: list[int] | None = None, c: int = 1
+    vals: list[int],
+    updates: Iterator[tuple],
+    w: list[int] | None = None,
+    c: int = 1,
+    src: list[int] | None = None,
 ) -> None:
     """Apply `_recursion_updates` to the list vals, in place, exactly.
 
-    Unweighted, every pair (d, m) adds vals[d] to vals[d m]: kappa_x and
-    K, here when their values pass 8-byte lanes.  With weights w it adds
-    c w[m] vals[d], the sign c put on each update's scalar (vals[d] for
-    a d up to r, w[m] for a block): the Dirichlet inverse.
+    Each pair (d, m) adds src[d] into vals[d m]; src is vals itself
+    unless given.  Unweighted: kappa_x and K, here when their values pass
+    8-byte lanes.  With weights w it adds c w[m] src[d], the sign c put
+    on each update's scalar (src[d] for a d up to r, w[m] for a block):
+    the Dirichlet inverse with c = -f(1), and the convolution with c = 1
+    and a separate source.
     """
+    if src is None:
+        src = vals
     for dst, d, m in updates:
         if isinstance(d, int):
-            vd = c * vals[d]
+            vd = c * src[d]
             if not vd:
                 continue
             if w is None:
@@ -546,9 +560,9 @@ def _apply_to_list(
             else:
                 vals[dst] = [v + vd * wm for v, wm in zip(vals[dst], w[m])]
         elif w is None:
-            vals[dst] = map(add, vals[dst], vals[d])
+            vals[dst] = map(add, vals[dst], src[d])
         elif wm := c * w[m]:
-            vals[dst] = [v + wm * vd for v, vd in zip(vals[dst], vals[d])]
+            vals[dst] = [v + wm * vd for v, vd in zip(vals[dst], src[d])]
 
 
 # ---------------------------------------------------------------------------
@@ -558,35 +572,15 @@ def _apply_to_list(
 def dirichlet_convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
     """Dirichlet convolution: result(n) = sum over d|n of f(d) * g(n/d).
 
-    Every pair (d, m) with d m <= N is summed once, split at r = isqrt(N)
-    as in the divisor hyperbola method: one pass takes d = 1 and m = 1,
-    then each f(d) with 2 <= d <= r updates its d-stride of multiples,
-    and each g(m) with 2 <= m <= N // (r+1) updates its m-stride with
-    f(d) for d > r.  That is O(N log N) multiplications in about
+    One pass out = g(1) f takes the pairs (d, 1); `_apply_to_list` adds
+    f(d) g(m) into out[d m] for every other pair, on `_recursion_updates`
+    with one block above r: O(N log N) multiplications in about
     2 sqrt(N) slice updates.  Exact, commutative, and associative.
     """
     f._require_same_range(g)
-    n_max = f.n_max
-    fv, gv = f._vals, g._vals
-    f1, g1 = fv[1], gv[1]
-    out = [f1 * gn + fn * g1 for fn, gn in zip(fv, gv)]
-    out[1] = f1 * g1  # the pass counted (1, 1) twice
-    r = isqrt(n_max)
-    for d in range(2, r + 1):
-        fd = fv[d]
-        if fd:
-            dst = slice(2 * d, None, d)
-            out[dst] = [
-                o + fd * gm for o, gm in zip(out[dst], islice(gv, 2, n_max // d + 1))
-            ]
-    for m in range(2, n_max // (r + 1) + 1):
-        gm = gv[m]
-        if gm:
-            dst = slice(m * (r + 1), m * (n_max // m) + 1, m)
-            out[dst] = [
-                o + fd * gm
-                for o, fd in zip(out[dst], fv[r + 1 : n_max // m + 1])
-            ]
+    g1 = g._vals[1]
+    out = [g1 * v for v in f._vals]
+    _apply_to_list(out, _recursion_updates(f.n_max, f.n_max), g._vals, 1, f._vals)
     return ArithSeq._from_padded(out, f"{f.label}*{g.label}")
 
 

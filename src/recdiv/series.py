@@ -231,13 +231,14 @@ def verify_closed_form(
     the error budget (the two zeta bounds carried through the quotient,
     plus a few ulps for the rounded terms and sums) counts as agreement;
     above it the gap must strictly shrink across the checkpoints.  The
-    report records that and whether the gap lands within tol at the full
-    length.
+    report records that and whether the gap lands within tol (floored at
+    1e-13) at the full length.
     """
     _require_int(x, 0, "x must be a nonnegative integer")
     _require_int(n_max)
     s = _finite_s(s)
     _require_positive_tol(tol)
+    tol = max(float(tol), TOL_FLOOR)
 
     # domain guard: the denominator 2 - zeta(s) must be positive
     if s <= 1.0 or (den := zeta(s)).value >= 2.0:

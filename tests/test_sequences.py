@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import isqrt
 from types import SimpleNamespace
 
@@ -395,6 +395,21 @@ class TestConvolution:
         f, g, h = ArithSeq(a[:n]), ArithSeq(b[:n]), ArithSeq(c[:n])
         assert dirichlet_convolve(f, g + h) == dirichlet_convolve(f, g) + dirichlet_convolve(f, h)
 
+    def test_across_the_pieces(self):
+        # The strides d <= r update in pieces of 2^16 entries; at this N,
+        # d = 1, 2 and 3 take more than one.  Check where pieces meet, for
+        # a signed and an unsigned product.
+        n_max = 3 * 2**16 + 16
+        pairs = (("mobius", None, "K", None), ("kappa", 1, "sigma", 2))
+        for f_name, f_x, g_name, g_x in pairs:
+            f = gen_builtin(f_name, n_max, x=f_x)
+            g = gen_builtin(g_name, n_max, x=g_x)
+            fg = dirichlet_convolve(f, g)
+            for k in (1, 2, 3):
+                for n in range(k * 2**16 - 8, k * 2**16 + 16):
+                    expected = sum(f[d] * g[n // d] for d in brute_divisors(n))
+                    assert fg[n] == expected, (fg.label, n)
+
 
 class TestInverse:
     def test_requires_unit(self):
@@ -519,12 +534,15 @@ def lane_kernel(n_max, x, code):
 
 class TestRecursionSchedule:
     def test_every_pair_once_and_every_source_final(self):
-        for n_max in SPLIT_NS + [3 * 2**16 + 16]:
+        # The sieve and the inverse read their own table, at the default
+        # width; the convolution reads another table, in one block of N.
+        for n_max, wide in product(SPLIT_NS + [3 * 2**16 + 16], (False, True)):
             # The pair (d, m), m >= 2 and d m <= N, has the slot first[m] + d - 1.
             first = [0, 0, 0, *accumulate(n_max // m for m in range(2, n_max + 1))]
             covered = bytearray(first[-1])
             read = bytearray(n_max + 1)
-            for dst, d, m in sequences._recursion_updates(n_max):
+            updates = sequences._recursion_updates(n_max, n_max if wide else None)
+            for dst, d, m in updates:
                 ds = range(d, d + 1) if isinstance(d, int) else range(d.start, d.stop)
                 ms = range(m, m + 1) if isinstance(m, int) else range(m.start, m.stop)
                 assert ds and ms and ds[0] >= 1 and ms[0] >= 2, (n_max, dst)
@@ -534,13 +552,14 @@ class TestRecursionSchedule:
                 want = range(ds[0] * ms[0], ds[-1] * ms[-1] + 1, step)
                 assert range(n_max + 1)[dst] == want, (n_max, dst)
                 # Sources are read before the update writes, and stay final.
-                read[ds[0] : ds[-1] + 1] = b"\1" * len(ds)
-                assert 1 not in read[dst], (n_max, dst)
+                if not wide:
+                    read[ds[0] : ds[-1] + 1] = b"\1" * len(ds)
+                    assert 1 not in read[dst], (n_max, dst)
                 for mm in ms:
                     slots = slice(first[mm] + ds[0] - 1, first[mm] + ds[-1])
                     assert 1 not in covered[slots], (n_max, dst)
                     covered[slots] = b"\1" * len(ds)
-            assert 0 not in covered, n_max
+            assert 0 not in covered, (n_max, wide)
 
 
 @pytest.fixture

@@ -268,6 +268,15 @@ class TestVerifyClosedForm:
         report = verify_closed_form(0, 4, 2)
         assert report.checkpoint_lengths == (1, 2)
 
+    def test_tolerance_floor(self):
+        # the gap, about 1.8e-15, is above 1e-16 but within the floor
+        report = verify_closed_form(0, 12, 1000, tol=1e-16)
+        assert report.tol == 1e-13
+        assert report.gap <= report.tol and report.passed
+        # the floor, not the error budget: near s = 1 that is large
+        report = verify_closed_form(1, 2.001, 1000, tol=1e-16)
+        assert report.tol == 1e-13 and not report.passed
+
 
 def seq_with_inverses(n_max):
     seqs = {
