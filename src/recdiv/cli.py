@@ -22,8 +22,6 @@ import json
 import os
 import sys
 import time
-from itertools import compress
-from operator import ne
 from pathlib import Path
 
 from . import oracles
@@ -159,38 +157,34 @@ def cmd_check(args) -> int:
 
 
 def cmd_oeis_compare(args) -> int:
-    _generator_label(args.fn, args.x)  # a usage error comes before the b-file is read
+    label = _generator_label(args.fn, args.x)  # a usage error comes before the b-file is read
     path = Path(args.bfile)
     text = path.read_text(encoding="ascii")
     # Fast path: text exactly as `gen --format bfile` writes it agrees, unparsed.
+    # Its table is an argument only, so it is not held through the parse below.
     n = _canonical_rows(text)
-    if n:
-        try:
-            seq = gen_builtin(args.fn, n, x=args.x)
-        except MemoryError:
-            pass  # the exact path reports a parse error first, else this again
-        else:
-            if _is_formatted(text, seq):
-                print(f"{seq.label} agrees with {path.name} on all {n} entries")
-                return 0
-            del seq  # not held through the parse: it is built again after it
-    bf = parse_bfile_text(text, source_name=path.name)
-    del text  # only the columns are needed from here
-    indices, expected = bf.indices, bf.values
-    if not indices:
-        print(f"{args.bfile}: no data lines; nothing to compare")
-        return 0
-    seq = gen_builtin(args.fn, indices[-1], x=args.x)
-    padded = seq._vals  # f(n) at position n, read in C with no copy
-    index = next(compress(indices, map(ne, map(padded.__getitem__, indices), expected)), None)
-    if index is not None:
-        print(
-            f"mismatch at index {index}: {seq.label} gives {padded[index]}, "
-            f"b-file {bf.source_name} has {expected[indices.index(index)]}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"{seq.label} agrees with {bf.source_name} on all {len(indices)} entries")
+    try:
+        agrees = bool(n) and _is_formatted(text, gen_builtin(args.fn, n, x=args.x))
+    except MemoryError:
+        agrees = False  # the exact path reports a parse error first, else this again
+    if not agrees:
+        bf = parse_bfile_text(text, source_name=path.name)
+        del text  # only the columns are needed from here
+        indices, expected = bf.indices, bf.values
+        if not indices:
+            print(f"{args.bfile}: no data lines; nothing to compare")
+            return 0
+        seq = gen_builtin(args.fn, indices[-1], x=args.x)
+        index = seq.first_difference(indices, expected)
+        if index is not None:
+            print(
+                f"mismatch at index {index}: {label} gives {seq[index]}, "
+                f"b-file {path.name} has {expected[indices.index(index)]}",
+                file=sys.stderr,
+            )
+            return 1
+        n = len(indices)
+    print(f"{label} agrees with {path.name} on all {n} entries")
     return 0
 
 

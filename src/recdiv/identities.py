@@ -24,7 +24,6 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import compress, islice
 from typing import Iterable
 
 from .sequences import ArithSeq, _require_int, dirichlet_inverse, gen_builtin
@@ -104,15 +103,12 @@ class IdentityReport:
 
 
 def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | None:
-    """First index where the sequences differ, with both values, else None."""
+    """First n where the sequences differ, with lhs(n) and rhs(n), else None."""
     lhs._require_same_range(rhs)
-    lv, rv = lhs._vals, rhs._vals
-    if lv == rv:  # one compare in C, taken by every passing check
+    if lhs == rhs:  # one compare in C, taken by every passing check
         return None
-    # Both tables hold 0 at position 0, so they differ at some n >= 1.
-    ne_from_1 = map(operator.ne, islice(lv, 1, None), islice(rv, 1, None))
-    n = next(compress(range(1, len(lv)), ne_from_1))
-    return n, lv[n], rv[n]
+    n = lhs.first_difference(range(1, lhs.n_max + 1), rhs)
+    return n, lhs[n], rhs[n]
 
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}

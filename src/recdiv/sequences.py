@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import inf, isqrt
-from operator import add, sub
-from typing import Callable, Iterable, Iterator
+from operator import add, ne, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "ArithSeq",
@@ -145,6 +145,15 @@ class ArithSeq:
         return self._vals == other._vals
 
     __hash__ = None  # type: ignore[assignment]
+
+    def first_difference(self, indices: Sequence[int], values: Iterable[int]) -> int | None:
+        """First n of `indices` where f(n) differs from its entry of `values`, else None.
+
+        One scan in C, with no copy of the table.  It reads `indices` twice,
+        so they must be a range or a list; each n must lie in 1..n_max.
+        """
+        pairs = map(ne, map(self._vals.__getitem__, indices), values)
+        return next(compress(indices, pairs), None)
 
     def __repr__(self) -> str:
         head = ", ".join(str(v) for v in self._vals[1:9])

@@ -64,7 +64,7 @@ class SingularityDomainError(ValueError):
         self.s = s
         self.rho = rho
         super().__init__(
-            f"s = {s:g} is at or below the series pole rho = {rho:.7f} "
+            f"s = {_shown(s)} is at or below the series pole rho = {rho:.7f} "
             f"(zeta(s) >= 2); partial sums do not converge there"
         )
 
@@ -108,6 +108,12 @@ class ClosedFormReport:
     passed: bool
 
 
+def _shown(v: float) -> str:
+    """v as :g prints it when that reads back as v, else its shortest exact repr."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
 def _finite_s(s: float) -> float:
     """s as a float; ValueError unless it is finite."""
     s = float(s)
@@ -116,9 +122,11 @@ def _finite_s(s: float) -> float:
     return s
 
 
-def _require_positive_tol(tol: float) -> None:
+def _floored_tol(tol: float) -> float:
+    """tol as a float raised to TOL_FLOOR; ValueError unless it is positive."""
     if not tol > 0.0:  # also refuses nan
         raise ValueError("tol must be positive")
+    return max(float(tol), TOL_FLOOR)
 
 
 def _euler_maclaurin(s: float, m: int) -> tuple[float, float]:
@@ -150,9 +158,8 @@ def zeta(s: float, tol: float = 1e-12) -> ZetaValue:
     """
     s = _finite_s(s)
     if s <= 1.0:
-        raise DivergenceError(f"zeta diverges at s = {s:g} (requires s > 1)")
-    _require_positive_tol(tol)
-    tol = max(float(tol), TOL_FLOOR)
+        raise DivergenceError(f"zeta diverges at s = {_shown(s)} (requires s > 1)")
+    tol = _floored_tol(tol)
 
     # Past s = 1100 every term but 1 underflows, so evaluate there: past s ~ 1e44
     # the Bernoulli factors would overflow to inf * 0 = nan and never converge.
@@ -186,33 +193,42 @@ def _fsum(terms: Iterable[float], f: ArithSeq, s: float) -> float:
         return math.fsum(terms)
     except OverflowError:
         raise ValueError(
-            f"the partial sum of {f.label or 'f'}(n) / n^{s:g} leaves the double range"
+            f"the partial sum of {f.label or 'f'}(n) / n^{_shown(s)} leaves the double range"
         ) from None
 
 
 def _float_terms(f: ArithSeq, s: float) -> list[float]:
     """The doubles f(n) / n^s; a term past their range is a ValueError naming n.
 
-    A term leaves the range either in the int-to-float conversion, which
-    raises, or as a product of two finite doubles, which is inf; an inf
-    term makes the plain sum inf, so one cheap pass catches the second.
+    A term is f(n) * n^-s when every n^-s is a normal double.  Otherwise
+    (n^-s subnormal or 0 at large s, or past the range at negative s) it
+    is the int quotient f(n) / n^e, correctly rounded, times n^(e - s),
+    with e = ceil(s) clamped to [0, bit length of f(n) + 1100]; so an f(n)
+    above the largest double still gives its small term.  A term past the
+    range raises OverflowError or is inf, and an inf term makes the plain
+    sum inf, so one cheap pass catches it.
     """
     try:
-        terms = [v * n**-s for n, v in enumerate(f, start=1)]
-        if math.isfinite(sum(terms)):
-            return terms
+        if f.n_max**-s >= sys.float_info.min:  # n^-s is monotone in n: n_max decides
+            terms = [v * n**-s for n, v in enumerate(f, start=1)]
+            if math.isfinite(sum(terms)):
+                return terms
     except OverflowError:
         pass
-    for n, v in enumerate(f, start=1):  # find the culprit, off the hot path
+    terms = []
+    for n, v in enumerate(f, start=1):
+        # past that clamp f(n) / n^e is below every double, so e stops there
+        e = min(max(math.ceil(s), 0), abs(v).bit_length() + 1100)
         try:
-            term = v * n**-s
+            term = v / n**e * n ** (e - s)
         except OverflowError:
             term = math.inf
         if not math.isfinite(term):
             raise ValueError(
-                f"{f.label or 'f'}(n) / n^{s:g} leaves the double range at n = {n}"
+                f"{f.label or 'f'}(n) / n^{_shown(s)} leaves the double range at n = {n}"
             )
-    return terms  # the terms are finite; only their plain sum overflows
+        terms.append(term)
+    return terms  # the terms are finite; only their plain sum may overflow
 
 
 @lru_cache(maxsize=None)
@@ -237,15 +253,14 @@ def verify_closed_form(
     _require_int(x, 0, "x must be a nonnegative integer")
     _require_int(n_max)
     s = _finite_s(s)
-    _require_positive_tol(tol)
-    tol = max(float(tol), TOL_FLOOR)
+    tol = _floored_tol(tol)
 
     # domain guard: the denominator 2 - zeta(s) must be positive
     if s <= 1.0 or (den := zeta(s)).value >= 2.0:
         raise SingularityDomainError(s, _rho_reference())
     if s - x <= 1.0:
         raise DivergenceError(
-            f"numerator zeta(s - x) diverges at s - x = {s - x:g} (requires > 1)"
+            f"numerator zeta(s - x) diverges at s - x = {_shown(s - x)} (requires > 1)"
         )
 
     num = zeta(s - x)
@@ -285,10 +300,9 @@ def find_singularity(tol: float = 1e-10) -> float:
     zeta is strictly decreasing on (1, oo), zeta(1.5) > 2 > zeta(2), so
     the bracket is valid; bisection stops at width tol.
     """
-    _require_positive_tol(tol)
-    tol = max(float(tol), TOL_FLOOR)
+    tol = _floored_tol(tol)
     lo, hi = 1.5, 2.0
-    inner = max(min(tol * 1e-2, 1e-12), TOL_FLOOR)
+    inner = min(tol * 1e-2, 1e-12)  # zeta floors it
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if zeta(mid, inner).value > 2.0:

@@ -54,3 +54,17 @@ def test_every_top_level_import_is_used():
                     if name not in named:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_only_sequences_reads_the_padded_table():
+    # ArithSeq._vals is private to sequences.py: other modules use its methods,
+    # so the table's type can change in one module.
+    readers = []
+    for path in sorted(Path(recdiv.__file__).parent.glob("*.py")):
+        if path.name == "sequences.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_vals":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -142,6 +143,19 @@ class TestDirichletPartialSum:
         with pytest.raises(ValueError, match=r"one\(n\) / n\^-400 .* at n = 6$"):
             dirichlet_partial_sum(gen_builtin("one", 10), -400.0)
 
+    def test_terms_where_n_to_the_minus_s_is_subnormal(self):
+        # 34^-203.7 is subnormal, so f(n) * n^-s would lose bits (835 ulp at
+        # n = 34); the quotient f(n) / n^204 times n^0.3 keeps them.
+        mpmath = pytest.importorskip("mpmath")
+        for x, s, n_max in ((200, 203.7, 34), (400, 402.5, 100), (100, 103.25, 1000)):
+            assert n_max**-s < sys.float_info.min
+            f = gen_builtin("kappa", n_max, x=x)
+            terms = series._float_terms(f, s)
+            with mpmath.workdps(50):
+                for n, term in enumerate(terms, start=1):
+                    exact = mpmath.mpf(f[n]) / mpmath.power(n, mpmath.mpf(s))
+                    assert abs(mpmath.mpf(term) - exact) <= 3 * math.ulp(term), (x, s, n)
+
     def test_inf_product_of_finite_doubles_names_its_n(self):
         # 10^300 and 10^10 are finite doubles, their product is not
         f = gen_builtin("id", 10, x=300)
@@ -171,6 +185,22 @@ class TestFindSingularity:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             find_singularity(0.0)
+
+    def test_tolerance_below_the_floor_is_clamped(self, monkeypatch):
+        # Doubles near rho are 2.2e-16 apart, so bisection to width 1e-30
+        # would never end; floored at 1e-13 it stops after 43 halvings.
+        calls = []
+        real_zeta = series.zeta
+
+        def counted_zeta(s, tol=1e-12):
+            calls.append(s)
+            assert len(calls) <= 100, "the bisection did not stop"
+            return real_zeta(s, tol)
+
+        monkeypatch.setattr(series, "zeta", counted_zeta)
+        rho = find_singularity(1e-30)
+        assert rho == find_singularity(1e-13) == 1.7286472389982066
+        assert abs(rho - RHO) < 1e-12
 
     def test_within_tolerance_of_mpmath(self):
         # Measured errors: 4.7e-7, 1.3e-11 and 1.1e-13.
@@ -209,6 +239,17 @@ class TestVerifyClosedForm:
         with pytest.raises(SingularityDomainError):
             verify_closed_form(0, RHO, 100)
 
+    def test_domain_messages_print_s_exactly(self):
+        # :g would round these to 1.72865, 1 and 1: the messages would contradict themselves
+        with pytest.raises(SingularityDomainError, match=r"^s = 1\.728647 is at or below"):
+            verify_closed_form(0, 1.728647, 100)
+        with pytest.raises(DivergenceError, match=r"at s = 0\.9999999 \(requires s > 1\)$"):
+            zeta(0.9999999)
+        with pytest.raises(DivergenceError, match=r"at s - x = 0\.9999999000000002 \("):
+            verify_closed_form(2, 2.9999999, 100)
+        with pytest.raises(SingularityDomainError, match=r"^s = 1\.5 is at or below"):
+            verify_closed_form(0, 1.5, 100)  # a value :g prints exactly keeps its text
+
     def test_divergent_numerator_raises(self):
         with pytest.raises(DivergenceError):
             verify_closed_form(2, 2.5, 100)
@@ -228,9 +269,13 @@ class TestVerifyClosedForm:
         with pytest.raises(ValueError):
             verify_closed_form(0, 3, 100, tol=0.0)
 
-    def test_term_past_the_double_range_is_a_value_error(self):
-        with pytest.raises(ValueError, match=r"kappa_400\(n\) / n\^402 .* at n = 6$"):
-            verify_closed_form(400, 402, 100)
+    def test_kappa_past_the_double_range_still_gives_its_terms(self):
+        # kappa_400(6) > 1.8e308, yet its term is about 6^-2: each term is the
+        # correctly rounded quotient f(n) / n^402, and the series agrees.
+        f = gen_builtin("kappa", 100, x=400)
+        assert series._float_terms(f, 402.0) == [v / n**402 for n, v in enumerate(f, 1)]
+        report = verify_closed_form(400, 402, 3000)
+        assert report.passed and report.gap < 1e-3
 
     def test_checkpoint_sum_past_the_double_range_is_a_value_error(self, monkeypatch):
         # 1.7e308 (1 + 2^-3) passes the largest double at the second term
