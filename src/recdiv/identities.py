@@ -24,7 +24,8 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .sequences import ArithSeq, _require_int, dirichlet_inverse, gen_builtin
 
@@ -113,9 +114,34 @@ def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | No
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
+# A pool operand (generator, exponent, inverted?) and the two operands of a product.
+_Operand = tuple[str, int | None, bool]
+_Operands = tuple[_Operand, _Operand]
+_NOTHING_KEPT: Mapping[_Operands, ArithSeq] = MappingProxyType({})
 
-def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> ArithSeq:
-    """One side of a statement, from the pool's values and their + - *; never a bare int."""
+
+def _evaluate(
+    side: str,
+    pool: SequencePool,
+    x: int | None,
+    y: int | None,
+    reuse: Mapping[_Operands, ArithSeq] = _NOTHING_KEPT,
+    keep: dict[_Operands, ArithSeq] | None = None,
+) -> ArithSeq:
+    """One side of a statement, from the pool's values and their + - *; never a bare int.
+
+    A product of two pool operands is taken from ``reuse`` when it is
+    there, else computed and, if ``keep`` is given, stored there; both
+    are keyed by the two operands.
+    """
+
+    def operand(node: ast.expr) -> _Operand | None:
+        match node:
+            case ast.Name(name):
+                return *sequence(name), False
+            case ast.Call(ast.Name("inverse"), [ast.Name(name)], []):
+                return *sequence(name), True
+        return None
 
     def sequence(name: str) -> tuple[str, int | None]:
         m = _SUBSCRIPTED.fullmatch(name)
@@ -124,15 +150,21 @@ def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> Ar
         return m[1], x if m[2] == "x" else y if m[2] == "y" else int(m[2])
 
     def walk(node: ast.expr) -> ArithSeq | int:
+        if (key := operand(node)) is not None:
+            name, exponent, inverse = key
+            return (pool.inverse if inverse else pool.get)(name, exponent)
         match node:
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
+                operands = operand(left), operand(right)
+                pooled = isinstance(op, ast.Mult) and None not in operands
+                if pooled and operands in reuse:
+                    return reuse[operands]
                 left, right = walk(left), walk(right)
                 with suppress(TypeError):  # an int added to a sequence is unsupported
-                    return _OPERATORS[type(op)](left, right)
-            case ast.Name(name):
-                return pool.get(*sequence(name))
-            case ast.Call(ast.Name("inverse"), [ast.Name(name)], []):
-                return pool.inverse(*sequence(name))
+                    value = _OPERATORS[type(op)](left, right)
+                    if pooled and keep is not None:
+                        keep[operands] = value
+                    return value
             case ast.Constant(int(value)) if not isinstance(value, bool):
                 return value
         raise ValueError(f"unsupported term {ast.unparse(node)!r} in identity statement")
@@ -142,7 +174,10 @@ def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> Ar
         tree = ast.parse(side, mode="eval")
     except SyntaxError:
         raise ValueError(f"cannot parse {side!r} in identity statement") from None
-    value = walk(tree.body)
+    try:
+        value = walk(tree.body)
+    finally:
+        del walk  # walk refers to itself: without this every side leaves a reference cycle
     if isinstance(value, int):
         raise ValueError(f"unsupported term {side!r} in identity statement")
     return value
@@ -205,10 +240,23 @@ def check_identity(
     elif pool.n_max != n_max:
         raise ValueError(f"pool n_max {pool.n_max} does not match {n_max}")
 
-    sides = check.description.split("=")
+    return _check(code, n_max, x, y, pool)
+
+
+def _check(
+    code: str,
+    n_max: int,
+    x: int | None,
+    y: int | None,
+    pool: SequencePool,
+    reuse: Mapping[_Operands, ArithSeq] = _NOTHING_KEPT,
+    keep: dict[_Operands, ArithSeq] | None = None,
+) -> IdentityReport:
+    """check_identity after its validation; reuse and keep go to _evaluate."""
+    sides = REGISTRY[code].description.split("=")
     if len(sides) != 2:
         raise ValueError(f"identity {code} is not one statement lhs = rhs")
-    lhs, rhs = (_evaluate(side, pool, x, y) for side in sides)
+    lhs, rhs = (_evaluate(side, pool, x, y, reuse, keep) for side in sides)
     mismatch = compare_sequences(lhs, rhs)
     if mismatch is None:
         return IdentityReport(code, x, y, n_max, True)
@@ -216,12 +264,29 @@ def check_identity(
     return IdentityReport(code, x, y, n_max, False, n, lv, rv)
 
 
+def _check_pair(
+    code: str, n_max: int, x: int, y: int, pool: SequencePool
+) -> tuple[IdentityReport, IdentityReport]:
+    """(x, y) and then (y, x), x != y, of a two-exponent identity.
+
+    (y, x) walks and compares its own statement, but takes each product
+    of two pool operands from the ones (x, y) made, so a symmetric
+    statement convolves nothing twice.  Those products are dropped on
+    return: at most the two of one check are held.
+    """
+    kept: dict[_Operands, ArithSeq] = {}
+    first = _check(code, n_max, x, y, pool, keep=kept)
+    return first, _check(code, n_max, y, x, pool, reuse=kept)
+
+
 def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
     """Run every registered identity for every required exponent combination.
 
     Two-exponent identities run over all ordered pairs from the exponent
     set, diagonal included, so symmetric statements get checked in both
-    orders.  Reports come back sorted by (code, x, y).
+    orders.  They are computed one unordered pair at a time (_check_pair);
+    the diagonal convolves both of its sides.  Reports come back sorted by
+    (code, x, y).
     """
     xs = sorted(set(exponent_set))
     if not xs:
@@ -232,12 +297,14 @@ def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
     reports = []
     for code in sorted(REGISTRY):
         arity = REGISTRY[code].exponents_required
-        if arity == 0:
-            combos = [(None, None)]
-        elif arity == 1:
-            combos = [(v, None) for v in xs]
-        else:
-            combos = [(v, w) for v in xs for w in xs]
-        for cx, cy in combos:
-            reports.append(check_identity(code, n_max, x=cx, y=cy, pool=pool))
+        if arity < 2:
+            combos = [(None, None)] if arity == 0 else [(v, None) for v in xs]
+            reports += (check_identity(code, n_max, x=cx, y=cy, pool=pool) for cx, cy in combos)
+            continue
+        by_pair = {}
+        for i, v in enumerate(xs):
+            by_pair[v, v] = check_identity(code, n_max, x=v, y=v, pool=pool)
+            for w in xs[i + 1 :]:
+                by_pair[v, w], by_pair[w, v] = _check_pair(code, n_max, v, w, pool)
+        reports += (by_pair[v, w] for v in xs for w in xs)
     return reports

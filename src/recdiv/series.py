@@ -64,7 +64,7 @@ class SingularityDomainError(ValueError):
         self.s = s
         self.rho = rho
         super().__init__(
-            f"s = {_shown(s)} is at or below the series pole rho = {rho:.7f} "
+            f"s = {_shown(s)} is at or below the series pole rho = {_shown(rho)} "
             f"(zeta(s) >= 2); partial sums do not converge there"
         )
 

@@ -1,9 +1,12 @@
+import gc
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from recdiv import identities, sequences
 from recdiv.identities import (
     REGISTRY,
     IdentityCheck,
@@ -192,6 +195,72 @@ class TestCheckAll:
         keys = [(r.code, r.x if r.x is not None else -1, r.y if r.y is not None else -1) for r in reports]
         assert keys == sorted(keys)
         assert {r.code for r in reports} == set(EXPECTED_CODES)
+
+    # Two-exponent statements that are not mirror-symmetric and fail: the (y, x)
+    # check reuses one product of (x, y) and computes another, and a key without
+    # the inverse flag would hand it the wrong product.
+    ASYMMETRIC = {
+        "ZX": "kappa_x * sigma_y = kappa_y * sigma_x + id_x * one",
+        "ZY": "inverse(kappa_x) * sigma_y = kappa_y * inverse(sigma_x)",
+    }
+
+    def test_equals_fresh_checks_of_every_combination(self, monkeypatch):
+        for code, statement in self.ASYMMETRIC.items():
+            monkeypatch.setitem(REGISTRY, code, IdentityCheck(code, statement))
+        xs = [0, 1, 3]
+        combos = {0: [(None, None)], 1: [(v, None) for v in xs], 2: [(v, w) for v in xs for w in xs]}
+        fresh = [
+            check_identity(code, 60, x=cx, y=cy)
+            for code in sorted(REGISTRY)
+            for cx, cy in combos[REGISTRY[code].exponents_required]
+        ]
+        assert check_all(60, [3, 0, 1]) == fresh
+        failed = {(r.code, r.x, r.y) for r in fresh if not r.passed}
+        assert failed == {(code, v, w) for code in self.ASYMMETRIC for v in xs for w in xs}
+        assert all(r.lhs_value != r.rhs_value for r in fresh if not r.passed)
+
+    def test_each_product_is_convolved_once_except_on_the_diagonal(self, monkeypatch):
+        calls = 0
+        convolve = sequences.dirichlet_convolve
+
+        def counting(f, g):
+            nonlocal calls
+            calls += 1
+            return convolve(f, g)
+
+        per_check = Counter()
+        check = identities._check
+
+        def counted(code, n_max, x, y, *args, **kwargs):
+            before = calls
+            report = check(code, n_max, x, y, *args, **kwargs)
+            per_check[code, x, y] += calls - before
+            return report
+
+        def compare(lhs, rhs):
+            assert lhs is not rhs
+            return compare_sequences(lhs, rhs)
+
+        monkeypatch.setattr(sequences, "dirichlet_convolve", counting)
+        monkeypatch.setattr(identities, "_check", counted)
+        monkeypatch.setattr(identities, "compare_sequences", compare)
+        xs = [0, 1, 2, 3]
+        assert all(r.passed for r in check_all(200, xs))
+        assert calls == 63
+        for code in ("EQ3", "JY"):
+            for v in xs:
+                assert per_check[code, v, v] == 2
+                for w in xs[v + 1 :]:
+                    assert (per_check[code, v, w], per_check[code, w, v]) == (2, 0)
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            check_all(200, [0, 1, 2, 3])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_exponent_set_validation(self):
         with pytest.raises(ValueError):

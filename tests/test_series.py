@@ -250,6 +250,16 @@ class TestVerifyClosedForm:
         with pytest.raises(SingularityDomainError, match=r"^s = 1\.5 is at or below"):
             verify_closed_form(0, 1.5, 100)  # a value :g prints exactly keeps its text
 
+    def test_domain_message_prints_rho_exactly(self):
+        # rho to 7 decimals, 1.7286472, would read below this s
+        s = 1.72864723
+        with pytest.raises(SingularityDomainError) as exc_info:
+            verify_closed_form(0, s, 100)
+        message = str(exc_info.value)
+        shown = message.split("rho = ", 1)[1].split(" ", 1)[0]
+        assert float(shown) == exc_info.value.rho > s
+        assert message.startswith(f"s = 1.72864723 is at or below the series pole rho = {shown} (")
+
     def test_divergent_numerator_raises(self):
         with pytest.raises(DivergenceError):
             verify_closed_form(2, 2.5, 100)
