@@ -22,12 +22,13 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import oracles
 from .bfile import BFileParseError, _batches, _canonical_rows, _is_formatted, parse_bfile_text
 from .identities import check_all, registered_codes
-from .sequences import BUILTIN_NAMES, _generator_label, gen_builtin
+from .sequences import BUILTIN_NAMES, _generator_label, _require_int, gen_builtin
 from .series import SingularityDomainError, verify_closed_form
 
 __all__ = ["main", "build_parser"]
@@ -122,35 +123,37 @@ def _parse_exponent_list(text: str) -> list[int]:
 
 def cmd_check(args) -> int:
     xs = _parse_exponent_list(args.x)
-    reports = check_all(args.n, xs)
-    width = max(len(c) for c in registered_codes())
-    failures = 0
-    for r in reports:
-        xcol = "-" if r.x is None else str(r.x)
-        ycol = "-" if r.y is None else str(r.y)
-        if r.passed:
-            status = "PASS"
-        else:
-            failures += 1
-            status = f"FAIL at n={r.first_failure_n}: {r.lhs_value} != {r.rhs_value}"
-        print(f"{r.code:<{width}}  x={xcol:<2} y={ycol:<2}  {status}")
-    print(f"{len(reports) - failures}/{len(reports)} identities passed at n_max={args.n}")
-    if args.report is not None:
-        payload = []
+    _require_int(args.n)
+    # Opened before any check runs: a path that cannot be written fails at once.
+    with nullcontext() if args.report is None else open(args.report, "w", encoding="ascii") as fh:
+        reports = check_all(args.n, xs)
+        width = max(len(c) for c in registered_codes())
+        failures = 0
         for r in reports:
-            entry = {
-                "identity": r.code,
-                "x": r.x,
-                "y": r.y,
-                "n_max": r.n_max,
-                "passed": r.passed,
-            }
-            if not r.passed:
-                entry["first_failure_n"] = r.first_failure_n
-                entry["lhs_value"] = _json_value(r.lhs_value)
-                entry["rhs_value"] = _json_value(r.rhs_value)
-            payload.append(entry)
-        with open(args.report, "w", encoding="ascii") as fh:
+            xcol = "-" if r.x is None else str(r.x)
+            ycol = "-" if r.y is None else str(r.y)
+            if r.passed:
+                status = "PASS"
+            else:
+                failures += 1
+                status = f"FAIL at n={r.first_failure_n}: {r.lhs_value} != {r.rhs_value}"
+            print(f"{r.code:<{width}}  x={xcol:<2} y={ycol:<2}  {status}")
+        print(f"{len(reports) - failures}/{len(reports)} identities passed at n_max={args.n}")
+        if fh is not None:
+            payload = []
+            for r in reports:
+                entry = {
+                    "identity": r.code,
+                    "x": r.x,
+                    "y": r.y,
+                    "n_max": r.n_max,
+                    "passed": r.passed,
+                }
+                if not r.passed:
+                    entry["first_failure_n"] = r.first_failure_n
+                    entry["lhs_value"] = _json_value(r.lhs_value)
+                    entry["rhs_value"] = _json_value(r.rhs_value)
+                payload.append(entry)
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 0 if failures == 0 else 1

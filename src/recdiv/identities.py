@@ -24,8 +24,7 @@ import operator
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .sequences import ArithSeq, _require_int, dirichlet_inverse, gen_builtin
 
@@ -114,28 +113,18 @@ def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | No
 
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
-# A pool operand (generator, exponent, inverted?) and the two operands of a product.
-_Operand = tuple[str, int | None, bool]
-_Operands = tuple[_Operand, _Operand]
-_NOTHING_KEPT: Mapping[_Operands, ArithSeq] = MappingProxyType({})
-
 
 def _evaluate(
-    side: str,
-    pool: SequencePool,
-    x: int | None,
-    y: int | None,
-    reuse: Mapping[_Operands, ArithSeq] = _NOTHING_KEPT,
-    keep: dict[_Operands, ArithSeq] | None = None,
+    side: str, pool: SequencePool, x: int | None, y: int | None, products: dict | None = None
 ) -> ArithSeq:
     """One side of a statement, from the pool's values and their + - *; never a bare int.
 
-    A product of two pool operands is taken from ``reuse`` when it is
-    there, else computed and, if ``keep`` is given, stored there; both
-    are keyed by the two operands.
+    Given the memo ``products``, a product of two pool operands is taken
+    from it, or computed and stored there, keyed by the two operands
+    (generator, exponent, inverted?).
     """
 
-    def operand(node: ast.expr) -> _Operand | None:
+    def operand(node: ast.expr) -> tuple[str, int | None, bool] | None:
         match node:
             case ast.Name(name):
                 return *sequence(name), False
@@ -156,14 +145,14 @@ def _evaluate(
         match node:
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
                 operands = operand(left), operand(right)
-                pooled = isinstance(op, ast.Mult) and None not in operands
-                if pooled and operands in reuse:
-                    return reuse[operands]
+                memo = products is not None and isinstance(op, ast.Mult) and None not in operands
+                if memo and operands in products:
+                    return products[operands]
                 left, right = walk(left), walk(right)
                 with suppress(TypeError):  # an int added to a sequence is unsupported
                     value = _OPERATORS[type(op)](left, right)
-                    if pooled and keep is not None:
-                        keep[operands] = value
+                    if memo:
+                        products[operands] = value
                     return value
             case ast.Constant(int(value)) if not isinstance(value, bool):
                 return value
@@ -249,14 +238,13 @@ def _check(
     x: int | None,
     y: int | None,
     pool: SequencePool,
-    reuse: Mapping[_Operands, ArithSeq] = _NOTHING_KEPT,
-    keep: dict[_Operands, ArithSeq] | None = None,
+    products: dict | None = None,
 ) -> IdentityReport:
-    """check_identity after its validation; reuse and keep go to _evaluate."""
+    """check_identity after its validation; the products memo goes to _evaluate."""
     sides = REGISTRY[code].description.split("=")
     if len(sides) != 2:
         raise ValueError(f"identity {code} is not one statement lhs = rhs")
-    lhs, rhs = (_evaluate(side, pool, x, y, reuse, keep) for side in sides)
+    lhs, rhs = (_evaluate(side, pool, x, y, products) for side in sides)
     mismatch = compare_sequences(lhs, rhs)
     if mismatch is None:
         return IdentityReport(code, x, y, n_max, True)
@@ -264,29 +252,15 @@ def _check(
     return IdentityReport(code, x, y, n_max, False, n, lv, rv)
 
 
-def _check_pair(
-    code: str, n_max: int, x: int, y: int, pool: SequencePool
-) -> tuple[IdentityReport, IdentityReport]:
-    """(x, y) and then (y, x), x != y, of a two-exponent identity.
-
-    (y, x) walks and compares its own statement, but takes each product
-    of two pool operands from the ones (x, y) made, so a symmetric
-    statement convolves nothing twice.  Those products are dropped on
-    return: at most the two of one check are held.
-    """
-    kept: dict[_Operands, ArithSeq] = {}
-    first = _check(code, n_max, x, y, pool, keep=kept)
-    return first, _check(code, n_max, y, x, pool, reuse=kept)
-
-
 def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
     """Run every registered identity for every required exponent combination.
 
     Two-exponent identities run over all ordered pairs from the exponent
     set, diagonal included, so symmetric statements get checked in both
-    orders.  They are computed one unordered pair at a time (_check_pair);
-    the diagonal convolves both of its sides.  Reports come back sorted by
-    (code, x, y).
+    orders.  (x, y) and then (y, x), x < y, share one products memo, so
+    (y, x) walks and compares its own statement but a symmetric one
+    convolves nothing twice; the diagonal convolves both of its sides.
+    Reports come back sorted by (code, x, y).
     """
     xs = sorted(set(exponent_set))
     if not xs:
@@ -305,6 +279,9 @@ def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
         for i, v in enumerate(xs):
             by_pair[v, v] = check_identity(code, n_max, x=v, y=v, pool=pool)
             for w in xs[i + 1 :]:
-                by_pair[v, w], by_pair[w, v] = _check_pair(code, n_max, v, w, pool)
+                products = {}
+                by_pair[v, w] = _check(code, n_max, v, w, pool, products)
+                by_pair[w, v] = _check(code, n_max, w, v, pool, products)
+                del products  # else the last pair's products are held through the next checks
         reports += (by_pair[v, w] for v in xs for w in xs)
     return reports

@@ -152,6 +152,21 @@ class TestCheck:
             "first_failure_n": 4, "lhs_value": 4, "rhs_value": 3,
         }
 
+    def test_an_unopenable_report_fails_before_any_check(self, capsys, tmp_path, monkeypatch):
+        def never(n, xs):
+            raise AssertionError("check_all ran")
+
+        monkeypatch.setattr("recdiv.cli.check_all", never)
+        missing = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "check", "--n", "5", "--report", str(missing))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        # A usage error comes first and creates no file.
+        report_path = tmp_path / "r.json"
+        for argv in (["--n", "0"], ["--x", "q"]):
+            assert run(capsys, "check", *argv, "--report", str(report_path))[0] == 2
+            assert not report_path.exists()
+
     def test_bad_exponent_list(self, capsys):
         code, _, err = run(capsys, "check", "--n", "10", "--x", "0,q")
         assert code == 2

@@ -1,5 +1,6 @@
 import gc
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from recdiv.identities import (
     registered_codes,
 )
 from recdiv.oracles import count_ordered_factorizations
-from recdiv.sequences import gen_builtin
+from recdiv.sequences import ArithSeq, gen_builtin
 
 
 EXPECTED_CODES = (
@@ -220,18 +221,34 @@ class TestCheckAll:
         assert all(r.lhs_value != r.rhs_value for r in fresh if not r.passed)
 
     def test_each_product_is_convolved_once_except_on_the_diagonal(self, monkeypatch):
+        class Tracked(ArithSeq):
+            __slots__ = ("__weakref__",)
+
         calls = 0
         convolve = sequences.dirichlet_convolve
+        checks = []  # (code, x, y) of each check, in order
+        made = []  # (weak reference to a product, index of the check that made it)
 
         def counting(f, g):
             nonlocal calls
             calls += 1
-            return convolve(f, g)
+            product = convolve(f, g)
+            product = Tracked._from_padded(product._vals, product.label)
+            made.append((weakref.ref(product), len(checks) - 1))
+            return product
 
         per_check = Counter()
         check = identities._check
 
         def counted(code, n_max, x, y, *args, **kwargs):
+            # Only the products of the mirror check just before may be alive.
+            i = len(checks)
+            mirror = i > 0 and checks[-1] == (code, y, x)
+            for ref, j in made:
+                assert ref() is None or (mirror and j == i - 1), (
+                    f"product of check {j} alive at check {i} {(x, y)}"
+                )
+            checks.append((code, x, y))
             before = calls
             report = check(code, n_max, x, y, *args, **kwargs)
             per_check[code, x, y] += calls - before
@@ -246,7 +263,8 @@ class TestCheckAll:
         monkeypatch.setattr(identities, "compare_sequences", compare)
         xs = [0, 1, 2, 3]
         assert all(r.passed for r in check_all(200, xs))
-        assert calls == 63
+        assert calls == 63 == len(made)
+        assert len(checks) == 57
         for code in ("EQ3", "JY"):
             for v in xs:
                 assert per_check[code, v, v] == 2
