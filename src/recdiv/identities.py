@@ -114,62 +114,41 @@ def compare_sequences(lhs: ArithSeq, rhs: ArithSeq) -> tuple[int, int, int] | No
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
-def _evaluate(
-    side: str, pool: SequencePool, x: int | None, y: int | None, products: dict | None = None
-) -> ArithSeq:
-    """One side of a statement, from the pool's values and their + - *; never a bare int.
-
-    Given the memo ``products``, a product of two pool operands is taken
-    from it, or computed and stored there, keyed by the two operands
-    (generator, exponent, inverted?).
-    """
-
-    def operand(node: ast.expr) -> tuple[str, int | None, bool] | None:
-        match node:
-            case ast.Name(name):
-                return *sequence(name), False
-            case ast.Call(ast.Name("inverse"), [ast.Name(name)], []):
-                return *sequence(name), True
-        return None
-
-    def sequence(name: str) -> tuple[str, int | None]:
-        m = _SUBSCRIPTED.fullmatch(name)
-        if m is None:
-            return name, None
-        return m[1], x if m[2] == "x" else y if m[2] == "y" else int(m[2])
-
-    def walk(node: ast.expr) -> ArithSeq | int:
-        if (key := operand(node)) is not None:
-            name, exponent, inverse = key
-            return (pool.inverse if inverse else pool.get)(name, exponent)
-        match node:
-            case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
-                operands = operand(left), operand(right)
-                memo = products is not None and isinstance(op, ast.Mult) and None not in operands
-                if memo and operands in products:
-                    return products[operands]
-                left, right = walk(left), walk(right)
-                with suppress(TypeError):  # an int added to a sequence is unsupported
-                    value = _OPERATORS[type(op)](left, right)
-                    if memo:
-                        products[operands] = value
-                    return value
-            case ast.Constant(int(value)) if not isinstance(value, bool):
-                return value
-        raise ValueError(f"unsupported term {ast.unparse(node)!r} in identity statement")
-
+def _evaluate(side: str, pool: SequencePool, x: int | None, y: int | None) -> ArithSeq:
+    """One side of a statement, from the pool's values and their + - *; never a bare int."""
     side = side.strip()
     try:
         tree = ast.parse(side, mode="eval")
     except SyntaxError:
         raise ValueError(f"cannot parse {side!r} in identity statement") from None
-    try:
-        value = walk(tree.body)
-    finally:
-        del walk  # walk refers to itself: without this every side leaves a reference cycle
+    value = _walk(tree.body, pool, x, y)
     if isinstance(value, int):
         raise ValueError(f"unsupported term {side!r} in identity statement")
     return value
+
+
+def _walk(node: ast.expr, pool: SequencePool, x: int | None, y: int | None) -> ArithSeq | int:
+    """The value of one node of a parsed side."""
+    match node:
+        case ast.Name(name) | ast.Call(ast.Name("inverse"), [ast.Name(name)], []):
+            read = pool.get if isinstance(node, ast.Name) else pool.inverse
+            m = _SUBSCRIPTED.fullmatch(name)
+            if m is None:
+                return read(name, None)
+            return read(m[1], x if m[2] == "x" else y if m[2] == "y" else int(m[2]))
+        case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
+            left, right = _walk(left, pool, x, y), _walk(right, pool, x, y)
+            with suppress(TypeError):  # an int added to a sequence is unsupported
+                return _OPERATORS[type(op)](left, right)
+        case ast.Constant(int(value)) if not isinstance(value, bool):
+            return value
+    raise ValueError(f"unsupported term {ast.unparse(node)!r} in identity statement")
+
+
+def _resolved(side: str, x: int | None, y: int | None) -> str:
+    """The side's text with each _x and _y replaced by its value, as in kappa_3 * sigma_1."""
+    exponents = {"x": x, "y": y}
+    return _SUBSCRIPTED.sub(lambda m: f"{m[1]}_{exponents.get(m[2], m[2])}", side.strip())
 
 
 REGISTRY: dict[str, IdentityCheck] = {
@@ -238,13 +217,19 @@ def _check(
     x: int | None,
     y: int | None,
     pool: SequencePool,
-    products: dict | None = None,
+    sides: dict[str, ArithSeq] | None = None,
 ) -> IdentityReport:
-    """check_identity after its validation; the products memo goes to _evaluate."""
-    sides = REGISTRY[code].description.split("=")
-    if len(sides) != 2:
+    """check_identity after its validation; given the memo ``sides``, each side is
+    read from it by its `_resolved` text, operators and all, or evaluated and stored there."""
+    statement = REGISTRY[code].description.split("=")
+    if len(statement) != 2:
         raise ValueError(f"identity {code} is not one statement lhs = rhs")
-    lhs, rhs = (_evaluate(side, pool, x, y, products) for side in sides)
+    lhs, rhs = (
+        _evaluate(side, pool, x, y) if sides is None
+        else sides[key] if (key := _resolved(side, x, y)) in sides
+        else sides.setdefault(key, _evaluate(side, pool, x, y))
+        for side in statement
+    )
     mismatch = compare_sequences(lhs, rhs)
     if mismatch is None:
         return IdentityReport(code, x, y, n_max, True)
@@ -257,9 +242,9 @@ def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
 
     Two-exponent identities run over all ordered pairs from the exponent
     set, diagonal included, so symmetric statements get checked in both
-    orders.  (x, y) and then (y, x), x < y, share one products memo, so
-    (y, x) walks and compares its own statement but a symmetric one
-    convolves nothing twice; the diagonal convolves both of its sides.
+    orders.  (x, y) and then (y, x), x < y, share one memo of sides, so a
+    mirror-symmetric statement evaluates each side once per pair; the
+    diagonal evaluates both of its sides.
     Reports come back sorted by (code, x, y).
     """
     xs = sorted(set(exponent_set))
@@ -279,9 +264,9 @@ def check_all(n_max: int, exponent_set: Iterable[int]) -> list[IdentityReport]:
         for i, v in enumerate(xs):
             by_pair[v, v] = check_identity(code, n_max, x=v, y=v, pool=pool)
             for w in xs[i + 1 :]:
-                products = {}
-                by_pair[v, w] = _check(code, n_max, v, w, pool, products)
-                by_pair[w, v] = _check(code, n_max, w, v, pool, products)
-                del products  # else the last pair's products are held through the next checks
+                sides = {}
+                by_pair[v, w] = _check(code, n_max, v, w, pool, sides)
+                by_pair[w, v] = _check(code, n_max, w, v, pool, sides)
+                del sides  # else the last pair's sides are held through the next checks
         reports += (by_pair[v, w] for v in xs for w in xs)
     return reports

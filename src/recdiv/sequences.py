@@ -296,7 +296,8 @@ def gen_builtin(name: str, n_max: int, *, x: int | None = None) -> ArithSeq:
     label = _generator_label(name, x)
     try:
         # No list holds it, or it cannot fit: fail before the list grows.
-        power = x if name in ("id", "sigma", "kappa") else 0  # f(n) >= n**x
+        # f(n) >= n**power; J_x(n) = n**x prod(1 - p**-x) >= n**(x - 1) phi(n)
+        power = x if name in ("id", "sigma", "kappa") else max(x - 1, 0) if name == "jordan" else 0
         if n_max >= sys.maxsize or _table_bytes(n_max, power) > _memory_limit():
             raise MemoryError
         if name == "epsilon":

@@ -614,11 +614,12 @@ class TestOutOfMemory:
 
     def test_guard_counts_the_exponent(self):
         # Each kappa_1000 term holds n^1000, thousands of bytes, not the one
-        # digit the per-term estimate counts; unguarded, the table grows for
-        # seconds before the limit stops it.
-        proc = self.run_limited(
-            "gen", "--fn", "kappa", "--x", "1000", "--n", str(10**6), "--format", "bfile",
-            timeout=1.5,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == f"error: out of memory tabulating kappa_1000 on n = 1..{10**6}\n"
+        # digit the per-term estimate counts, and J_x(n) >= n^(x-1); unguarded,
+        # the table grows for seconds before the limit stops it, or spins.
+        for argv, label in (
+            (["gen", "--fn", "kappa", "--x", "1000", "--format", "bfile", "--n", str(10**6)], "kappa_1000"),
+            (["gen", "--fn", "jordan", "--x", "100000", "--n", "100000"], "jordan_100000"),
+        ):
+            proc = self.run_limited(*argv, timeout=1.5)
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: out of memory tabulating {label} on n = 1..{argv[-1]}\n"

@@ -198,11 +198,12 @@ class TestCheckAll:
         assert {r.code for r in reports} == set(EXPECTED_CODES)
 
     # Two-exponent statements that are not mirror-symmetric and fail: the (y, x)
-    # check reuses one product of (x, y) and computes another, and a key without
-    # the inverse flag would hand it the wrong product.
+    # check reuses a whole side of (x, y) only where its resolved text matches,
+    # and a key that dropped an operator or an inverse would hand it the wrong one.
     ASYMMETRIC = {
         "ZX": "kappa_x * sigma_y = kappa_y * sigma_x + id_x * one",
         "ZY": "inverse(kappa_x) * sigma_y = kappa_y * inverse(sigma_x)",
+        "ZP": "kappa_x + sigma_y = kappa_y * sigma_x",
     }
 
     def test_equals_fresh_checks_of_every_combination(self, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from recdiv import sequences
-from recdiv.oracles import naive_kappa
+from recdiv.oracles import naive_kappa, naive_kappa_range
 from recdiv.sequences import (
     ArithSeq,
     NotAUnitError,
@@ -328,11 +328,13 @@ class TestMemory:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 3721])
     def test_size_guard_never_exceeds_the_powers(self, n):
         # gen_builtin refuses a table when this estimate exceeds memory, so
-        # the digits it adds for f(n) >= n**x must be digits n**x holds.
-        for x in (0, 1, 29, 30, 31, 1000):
-            held = sum(sys.getsizeof(v) - sys.getsizeof(1) for v in gen_builtin("id", n, x=x))
-            counted = sequences._table_bytes(n, x) - n * sequences._TERM_BYTES
-            assert 0 <= counted <= held
+        # the digits it adds for f(n) >= n**power must be digits f(n) holds:
+        # id_x(n) = n**x, and J_x(n) >= n**(x - 1) phi(n).
+        for x in (0, 1, 2, 29, 30, 31, 1000):
+            for name, power in (("id", x), ("jordan", max(x - 1, 0))):
+                held = sum(sys.getsizeof(v) - sys.getsizeof(1) for v in gen_builtin(name, n, x=x))
+                counted = sequences._table_bytes(n, power) - n * sequences._TERM_BYTES
+                assert 0 <= counted <= held, (name, x)
 
 
 class TestConvolution:
@@ -507,6 +509,9 @@ class TestRecursiveFamilies:
         seq = gen_builtin("kappa", 3000, x=6)
         assert seq[2048] > 2**64
         assert seq[2048] == naive_kappa(6, 2048)
+        # Seed maxima of exactly 2^31 and 2^63 (2^31, 8^21, 2^63) sit on lane-width boundaries.
+        for n, x in ((2, 31), (8, 21), (2, 63)):
+            assert gen_builtin("kappa", n, x=x).terms() == naive_kappa_range(x, n), (n, x)
 
 
 def recursion_seed(n_max, x):
