@@ -18,6 +18,9 @@ a list, and the run resumes with that update.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
 ``num_divisors``) are O(N): one step per n over the smallest-prime-factor
 table, an O(N log log N) sieve writing one slice per prime up to sqrt(N).
+The table marks 1 and the primes with 0, so it holds no int object per
+entry, and the fill keeps each prime's recurrence coefficients in lists
+indexed by p <= sqrt(N).
 
 Built-in generators, by identifier (see `gen_builtin`):
 
@@ -250,7 +253,7 @@ class DivisorTable:
         spf = self._spf
         out = []
         while n > 1:
-            p = spf[n]
+            p = spf[n] or n
             e = 0
             while n % p == 0:
                 n //= p
@@ -269,7 +272,12 @@ def make_divisor_table(n_max: int) -> DivisorTable:
 
 
 def _spf_array(n_max: int) -> list[int]:
-    spf = list(range(n_max + 1))
+    """spf[n] is the smallest prime factor of a composite n, 0 at 1 and the primes.
+
+    The zeros share one int object, and so does each prime's slice: the
+    table holds no int object per entry.
+    """
+    spf = [0] * (n_max + 1)
     # Descending p, so the smallest prime factor of a multiple writes last;
     # spf[p] is not final yet, so trial division tells whether p is prime.
     for p in range(isqrt(n_max), 1, -1):
@@ -392,31 +400,32 @@ def _multiplicative_fill(
     """Tabulate a multiplicative f in O(N) over the smallest-prime-factor table.
 
     ``factors(p)`` returns ``(new(p), same(p), back(p))`` and is called once
-    per prime p, when the ascending fill reaches it, to set f(p) = new(p).
-    Each composite n then takes one step over its smallest prime factor p,
-    with m = n/p:
+    per prime p (spf[p] == 0), when the ascending fill reaches it, to set
+    f(p) = new(p).  Each composite n then takes one step over its smallest
+    prime factor p, with m = n/p:
 
         f(n) = new(p) * f(m)                        if p does not divide m
         f(n) = same(p) * f(m) - back(p) * f(m/p)    otherwise
 
     so f(p^e) = same(p) * f(p^(e-1)) - back(p) * f(p^(e-2)) for e >= 2.
+    The coefficients of p <= r = isqrt(N) go in three lists indexed by p.
     """
     spf = _spf_array(n_max)
-    coeffs: dict[int, tuple[int, int, int]] = {}
+    r = isqrt(n_max)
+    news, sames, backs = [0] * (r + 1), [0] * (r + 1), [0] * (r + 1)
     f = [0] * (n_max + 1)
     f[1] = 1
     for n in range(2, n_max + 1):
         p = spf[n]
-        if p == n:
-            triple = factors(p)
-            f[n] = triple[0]
+        if not p:
+            new, same, back = factors(n)
+            f[n] = new
             # A composite n has spf[n]^2 <= n: no step needs a larger p.
-            if p * p <= n_max:
-                coeffs[p] = triple
+            if n <= r:
+                news[n], sames[n], backs[n] = new, same, back
         else:
-            new, same, back = coeffs[p]
             m = n // p
-            f[n] = new * f[m] if m % p else same * f[m] - back * f[m // p]
+            f[n] = news[p] * f[m] if m % p else sames[p] * f[m] - backs[p] * f[m // p]
     return f
 
 

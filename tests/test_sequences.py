@@ -276,6 +276,15 @@ class TestDivisorTable:
             got = [table.factorize(n) for n in range(1, n_max + 1)]
             assert got == expected[:n_max], n_max
 
+    def test_table_marks_primes_with_zero(self):
+        # 0 at the pad, at 1 and at the primes; the smallest prime factor elsewhere.
+        expected = [0, 0] + [
+            0 if f == [(k, 1)] else f[0][0]
+            for k, f in enumerate(map(brute_factorize, range(2, max(FILL_NS) + 1)), start=2)
+        ]
+        for n_max in FILL_NS:
+            assert sequences._spf_array(n_max) == expected[: n_max + 1], n_max
+
     def test_unit_has_no_prime_factor(self):
         table = make_divisor_table(10)
         assert table.factorize(1) == []
@@ -296,22 +305,28 @@ class TestMemory:
     # lanes (kappa_0 16.1 to 19.4, K 13.7 to 17.6: the list path holds only
     # pointers to cached small ints for them, the lanes 4 bytes more).
     BYTES_PER_TERM = 64
+    # mobius and num_divisors hold cached small ints, so only the tables'
+    # pointers count: 40.0 with an int object per entry in the spf table,
+    # 16.1 with 0 marking the primes (sigma_1 then 48, down from 51).
+    SMALL_INT_BYTES_PER_TERM = 24
     # The same for the inverse of K, its operand excluded: 29.7 with
     # dyadic blocks of up to N/2 entries scaled at once, 24.1 with the
     # sieve's width-r blocks.
     INVERSE_BYTES_PER_TERM = 27
 
-    @pytest.mark.parametrize("name", ["sigma", "kappa"])
+    @pytest.mark.parametrize("name", ["sigma", "kappa", "mobius", "num_divisors"])
     def test_peak_per_term(self, name):
+        x = 1 if name in sequences.PARAMETRIC_NAMES else None
+        bound = self.BYTES_PER_TERM if x else self.SMALL_INT_BYTES_PER_TERM
         n = 200_000
         tracemalloc.start()
         try:
-            seq = gen_builtin(name, n, x=1)
+            seq = gen_builtin(name, n, x=x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         del seq
-        assert peak / n < self.BYTES_PER_TERM
+        assert peak / n < bound
 
     def test_inverse_peak_per_term(self):
         n = 200_000

@@ -156,6 +156,12 @@ class TestDirichletPartialSum:
                     exact = mpmath.mpf(f[n]) / mpmath.power(n, mpmath.mpf(s))
                     assert abs(mpmath.mpf(term) - exact) <= 3 * math.ulp(term), (x, s, n)
 
+    def test_exponent_rounds_up_so_the_quotient_stays_a_double(self):
+        # 2^2124 / 2^1101 = 2^1023 is a double, times 2^0.5 the term is too;
+        # e = floor(1100.5) would form 2^1024 and report a false range error.
+        point = dirichlet_partial_sum(ArithSeq([0, 1 << 2124]), 1100.5)
+        assert point.partial_sum == math.ldexp(math.sqrt(2), 1023)
+
     def test_inf_product_of_finite_doubles_names_its_n(self):
         # 10^300 and 10^10 are finite doubles, their product is not
         f = gen_builtin("id", 10, x=300)
