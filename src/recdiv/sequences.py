@@ -16,11 +16,12 @@ fixed-width fields.  An update that would carry across lanes is left
 unwritten; the table widens in place to 8-byte lanes, or past those to
 a list, and the run resumes with that update.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
-``num_divisors``) are O(N): one step per n over the smallest-prime-factor
-table, an O(N log log N) sieve writing one slice per prime up to sqrt(N).
-The table marks 1 and the primes with 0, so it holds no int object per
-entry, and the fill keeps each prime's recurrence coefficients in lists
-indexed by p <= sqrt(N).
+``num_divisors``) are O(N): one step per odd n over the
+smallest-prime-factor table, an O(N log log N) sieve writing one slice
+per prime up to sqrt(N), then one slice per power of two q <= N for the
+even n, by f(q o) = f(q) f(o) for odd o.  The table marks 1 and the
+primes with 0, so it holds no int object per entry, and the fill keeps
+each odd prime's recurrence coefficients in lists indexed by p <= sqrt(N).
 
 Built-in generators, by identifier (see `gen_builtin`):
 
@@ -399,23 +400,26 @@ def _multiplicative_fill(
 ) -> list[int]:
     """Tabulate a multiplicative f in O(N) over the smallest-prime-factor table.
 
-    ``factors(p)`` returns ``(new(p), same(p), back(p))`` and is called once
-    per prime p (spf[p] == 0), when the ascending fill reaches it, to set
-    f(p) = new(p).  Each composite n then takes one step over its smallest
-    prime factor p, with m = n/p:
+    ``factors(p)`` returns ``(new(p), same(p), back(p))`` and is called
+    exactly once per prime p <= N: for an odd p (spf[p] == 0) when the
+    ascending fill over odd n reaches it, for 2 before the even pass.
+    f(p) = new(p), and each odd composite n takes one step over its
+    smallest prime factor p, with m = n/p (both odd):
 
         f(n) = new(p) * f(m)                        if p does not divide m
         f(n) = same(p) * f(m) - back(p) * f(m/p)    otherwise
 
     so f(p^e) = same(p) * f(p^(e-1)) - back(p) * f(p^(e-2)) for e >= 2.
     The coefficients of p <= r = isqrt(N) go in three lists indexed by p.
+    Then the even n take one slice per power of two q = 2^e <= N, by
+    f(q o) = f(q) f(o) for odd o, with f(q) from the same recurrence.
     """
     spf = _spf_array(n_max)
     r = isqrt(n_max)
     news, sames, backs = [0] * (r + 1), [0] * (r + 1), [0] * (r + 1)
     f = [0] * (n_max + 1)
     f[1] = 1
-    for n in range(2, n_max + 1):
+    for n in range(3, n_max + 1, 2):
         p = spf[n]
         if not p:
             new, same, back = factors(n)
@@ -426,6 +430,14 @@ def _multiplicative_fill(
         else:
             m = n // p
             f[n] = news[p] * f[m] if m % p else sames[p] * f[m] - backs[p] * f[m // p]
+    del spf  # not held through the slices below
+    if n_max >= 2:
+        new, same, back = factors(2)
+        prev, fq = 1, new
+        for e in range(1, n_max.bit_length()):
+            q = 1 << e
+            f[q :: 2 * q] = [fq * v for v in f[1 : n_max // q + 1 : 2]]
+            prev, fq = fq, same * fq - back * prev
     return f
 
 

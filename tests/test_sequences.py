@@ -113,10 +113,12 @@ def split_operands(n_max, seed):
 
 # The multiplicative fill keeps recurrence coefficients only for primes
 # p <= isqrt(N), and the spf sieve writes p = isqrt(N) first: every N up
-# to 200, and N just below, at and past p^2 for four primes.
+# to 200, and N just below, at and past p^2 for four primes.  The even n
+# take one slice per power of two q <= N, and at N = 2^k the last holds
+# one entry: N just below, at and past 2^11 and 2^12.
 FILL_NS = list(range(1, 201)) + [
     p * p + k for p in (2, 3, 31, 61) for k in (-1, 0, 1)
-]
+] + [(1 << e) + k for e in (11, 12) for k in (-1, 0, 1)]
 MULTIPLICATIVE = [("mobius", None), ("phi", None), ("num_divisors", None)] + [
     (name, x) for name in ("jordan", "sigma") for x in range(4)
 ]
@@ -173,6 +175,19 @@ class TestGoldenRows:
             for n_max in FILL_NS:
                 got = gen_builtin(name, n_max, x=x).terms()
                 assert got == expected[:n_max], (name, x, n_max)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4096, 3721])
+    def test_fill_calls_factors_once_per_prime(self, n_max):
+        # 2 included, though the even n come from slices over powers of two.
+        calls = []
+
+        def counting_factors(p):
+            calls.append(p)
+            return (p - 1, p, 0)
+
+        sequences._multiplicative_fill(n_max, counting_factors)
+        primes = [p for p in range(2, n_max + 1) if brute_factorize(p) == [(p, 1)]]
+        assert sorted(calls) == primes
 
 
 class TestGenBuiltinValidation:
@@ -308,6 +323,9 @@ class TestMemory:
     # mobius and num_divisors hold cached small ints, so only the tables'
     # pointers count: 40.0 with an int object per entry in the spf table,
     # 16.1 with 0 marking the primes (sigma_1 then 48, down from 51).
+    # Filling the odd n, then dropping the spf table before the even n
+    # take their power-of-two slices: sigma_1 and phi 40.0 (from 48),
+    # mobius and num_divisors 16.1 (unchanged).
     SMALL_INT_BYTES_PER_TERM = 24
     # The same for the inverse of K, its operand excluded: 29.7 with
     # dyadic blocks of up to N/2 entries scaled at once, 24.1 with the
