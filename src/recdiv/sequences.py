@@ -6,13 +6,15 @@ values and never round.  ``kappa``, ``K``, the Dirichlet inverse and
 the Dirichlet convolution take their slice updates in one order, from
 `_recursion_updates`: every pair (d, m) with m >= 2 and d m <= N, split
 at r = isqrt(N), up to r one slice update per d, above it one per block
-and multiplier m.  So O(sqrt(N) log N) slice updates carry the
-O(N log N) operations, not N.  The first three are one sieve over
-multiples, a proper-divisor recursion that reads the table it writes;
-the convolution reads a separate table.  For kappa and K
+[lo, lo + min(lo, 8r)) and multiplier m.  So O(sqrt(N) log N) slice
+updates carry the O(N log N) operations, not N.  The first three are one
+sieve over multiples, a proper-divisor recursion that reads the table it
+writes; the convolution reads a separate table.  For kappa and K
 the table starts in an ``array`` of 4-byte, else 8-byte lanes, and each
 slice update is one addition of Python ints holding the lanes as
-fixed-width fields.  An update that would carry across lanes is left
+fixed-width fields.  The seed n^x goes in the same way, 512 lanes at a
+time, as a sum of binomial multiples of packed columns m^i.  An update
+that would carry across lanes is left
 unwritten; the table widens in place to 8-byte lanes, or past those to
 a list, and the run resumes with that update.  The five
 multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
@@ -50,7 +52,7 @@ from __future__ import annotations
 import os
 import sys
 from itertools import chain, compress, islice, repeat
-from math import inf, isqrt
+from math import comb, inf, isqrt
 from operator import add, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -446,8 +448,10 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
 
     The seed (id_x, or epsilon for K) goes into the narrowest storage
     whose signed range holds it: 4-byte lanes, 8-byte lanes, else a list.
-    When an update does not fit the lanes, the table as it stands widens
-    and the run resumes with that update, so none is applied twice.
+    Lanes take id_x from `_seed_lanes` in pieces of packed big ints, a
+    list from ``map(pow, ...)`` in 2^16-entry pieces.  When an update does
+    not fit the lanes, the table as it stands widens and the run resumes
+    with that update, so none is applied twice.
     """
     from array import array  # a shared library: loaded on first use, not at import
 
@@ -455,14 +459,16 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
     # Signed 4-byte, then 8-byte lanes (C int and long long).
     codes = [c for c in "iq" if top < 1 << (8 * array(c).itemsize - 1)]
     table = array(codes[0], [0]) * (n_max + 1) if codes else [0] * (n_max + 1)
+    # One allocation, filled in pieces: no N-length temporary beside it,
+    # and no growing buffer to leave holes in the heap.
     if x is None:
         table[1] = 1
+    elif codes:
+        _seed_lanes(table, x)
     else:
-        # One allocation, filled in pieces: no N-length list beside it,
-        # and no growing buffer to leave holes in the heap.
         for lo in range(1, n_max + 1, _PIECE):
             seed = map(pow, range(lo, min(lo + _PIECE, n_max + 1)), repeat(x))
-            table[lo : lo + _PIECE] = array(codes[0], seed) if codes else list(seed)
+            table[lo : lo + _PIECE] = list(seed)
     updates = _recursion_updates(n_max)
     while isinstance(table, array):
         pending = _apply_to_lanes(table, updates)
@@ -476,6 +482,39 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
 
 # Most entries per update up to r = isqrt(N): none copies the whole table.
 _PIECE = 1 << 16
+
+
+def _seed_lanes(a: array.array, x: int) -> None:
+    """Write n^x into the lanes n = 1..N of a; N^x must be below 2^(b-1).
+
+    Each piece n = lo + m, m < _SEED, is one int with lane m at bit b m,
+    the sum over i of lo^(x-i) times C(x, i) times the column of m^i,
+    columns built once.  A column lane m^i >= 2^b wraps, but lanes
+    n <= N hold m^i <= n^x and sums of at most N^x, so none of them
+    carries; the lanes past N may, and their carries only move up, to
+    lanes that the mask and the last piece's length drop.  So there is no
+    Python call per entry and no N-length temporary.
+    """
+    from array import array
+
+    code, width = a.typecode, a.itemsize
+    lane = (1 << 8 * width) - 1
+    columns = []
+    for i in range(x + 1):
+        packed = b"".join((m**i & lane).to_bytes(width, "little") for m in range(_SEED))
+        columns.append((x - i, comb(x, i) * int.from_bytes(packed, "little")))
+    mask = (1 << 8 * width * _SEED) - 1
+    end = len(a)
+    for lo in range(1, end, _SEED):
+        t = sum(lo**e * column for e, column in columns) & mask
+        piece = array(code, t.to_bytes(width * _SEED, "little")[: width * (end - lo)])
+        if _BYTEORDER == "big":
+            piece.byteswap()
+        a[lo : lo + _SEED] = piece
+
+
+# Lanes per seed piece: larger pieces raised series peak memory.
+_SEED = 1 << 9
 
 
 def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
@@ -492,13 +531,15 @@ def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
       in the slice ``ds`` into d m, one multiplier m at a time.
 
     The sieve and the inverse read their sources from the table they
-    write, so they keep the default width r: a block's proper divisors
-    are at most (lo + r - 1) / 2 < lo, so every source is final once the
-    blocks below it have spread.  The convolution reads a separate table
-    and passes width N: one block, one update per m.
+    write, so by default a block [lo, lo + w) is w = min(lo, 8r) wide:
+    its proper divisors are at most (lo + w - 1) / 2 < lo, so every
+    source is final once the blocks below it have spread.  The blocks
+    double from r + 1 to 8r, then stay 8r wide.  The convolution reads a
+    separate table and passes width N: one block, one update per m.
 
     O(N log N) operations in one update per d and piece up to r, and
-    about sqrt(N) ln(N) / 2 updates above it at width r, sqrt(N) at N.
+    about (7/4 + ln(sqrt(N) / 8) / 8) sqrt(N) updates above it by
+    default (975 in all at N = 10^5, 3284 at 10^6), sqrt(N) at width N.
     """
     r = isqrt(n_max)
     piece = max(min(_PIECE, n_max // 2), 1)
@@ -507,15 +548,16 @@ def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
         for m0 in range(2, top + 1, piece):
             m1 = min(m0 + piece, top + 1)
             yield slice(m0 * d, m1 * d, d), d, slice(m0, m1)
-    # By default blocks of r, not dyadic blocks [lo, 2 lo): those take
-    # fewer slices but update up to N / 4 entries at once, and a run of
-    # many series jobs then kept about 1.5 MiB more resident memory.
-    width = width or r
-    for lo in range(r + 1, n_max + 1, width):
-        hi = min(lo + width, n_max + 1)
+    # Blocks of at most 8r, not dyadic blocks [lo, 2 lo) up to N: those
+    # update up to N / 4 entries at once, and a run of many series jobs
+    # then kept about 1.5 MiB more resident memory.
+    lo = r + 1
+    while lo <= n_max:
+        hi = min(lo + (width or min(lo, 8 * r)), n_max + 1)
         for m in range(2, n_max // lo + 1):
             top = min(hi - 1, n_max // m)
             yield slice(m * lo, m * top + 1, m), slice(lo, top + 1), m
+        lo = hi
 
 
 def _apply_to_lanes(a: array.array, updates: Iterator[tuple]) -> tuple | None:

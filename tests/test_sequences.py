@@ -92,10 +92,12 @@ def brute_proper_divisor_sums(seed):
 
 
 # The kernels split at r = isqrt(N): every N up to 150, and N just below,
-# at and past r^2 (r^2 - 1, r^2, r^2 + r, r^2 + 2r) for three r.
+# at and past r^2 (r^2 - 1, r^2, r^2 + r, r^2 + 2r) for three r.  The
+# kappa seed goes into lanes in pieces: N around one and two pieces.
+SEED_PIECE = sequences._SEED
 SPLIT_NS = list(range(1, 151)) + [
     n for r in (10, 31, 64) for n in (r * r - 1, r * r, r * r + r, r * r + 2 * r)
-]
+] + [SEED_PIECE - 1, SEED_PIECE, SEED_PIECE + 1, 2 * SEED_PIECE + 1]
 
 
 def split_operands(n_max, seed):
@@ -314,28 +316,31 @@ class TestDivisorTable:
 
 class TestMemory:
     # Peak bytes allocated per term while tabulating n = 1..2*10^5, the
-    # result included.  CPython 3.11: sigma_1 83.5 and kappa_1 88.0 with
-    # three N-length coefficient lists in the fill and whole-table strides
-    # in the sieve; 51.0 and 55.9 without them.  kappa_1 44.2 in 4-byte
-    # lanes (kappa_0 16.1 to 19.4, K 13.7 to 17.6: the list path holds only
-    # pointers to cached small ints for them, the lanes 4 bytes more).
-    BYTES_PER_TERM = 64
-    # mobius and num_divisors hold cached small ints, so only the tables'
-    # pointers count: 40.0 with an int object per entry in the spf table,
-    # 16.1 with 0 marking the primes (sigma_1 then 48, down from 51).
-    # Filling the odd n, then dropping the spf table before the even n
-    # take their power-of-two slices: sigma_1 and phi 40.0 (from 48),
-    # mobius and num_divisors 16.1 (unchanged).
-    SMALL_INT_BYTES_PER_TERM = 24
-    # The same for the inverse of K, its operand excluded: 29.7 with
-    # dyadic blocks of up to N/2 entries scaled at once, 24.1 with the
-    # sieve's width-r blocks.
+    # result included, on CPython 3.10.13 / 3.11.7.  Each bound is the
+    # larger peak plus 2 bytes, rounded up, and sits below the peak of
+    # the mutant named beside it:
+    #   sigma_1 36.1 / 40.1 and phi 36.0 / 40.0: keeping the spf table
+    #     through the even n's power-of-two slices reads 44.1 / 48.1;
+    #   mobius and num_divisors 16.1 / 16.1 (cached small ints, so only
+    #     the tables' pointers count): the same mutant reads 20.3;
+    #   kappa_1 40.1 / 44.1 in 4-byte lanes and kappa_3 48.0 / 48.0 in
+    #     8-byte lanes: the seed in pieces of 2^16 lanes, not 2^9, reads
+    #     48.0 and 61.5, and in one piece of 2^18 lanes 180 and 222.
+    PEAK_BOUNDS = {  # case: (generator, x, bound in bytes per term)
+        "sigma": ("sigma", 1, 43),
+        "phi": ("phi", None, 42),
+        "mobius": ("mobius", None, 19),
+        "num_divisors": ("num_divisors", None, 19),
+        "kappa": ("kappa", 1, 47),
+        "kappa_3": ("kappa", 3, 51),
+    }
+    # The same for the inverse of K, its operand excluded: 23.1 / 24.1
+    # (29.7 on 3.11 with dyadic blocks of up to N/2 entries scaled at once).
     INVERSE_BYTES_PER_TERM = 27
 
-    @pytest.mark.parametrize("name", ["sigma", "kappa", "mobius", "num_divisors"])
-    def test_peak_per_term(self, name):
-        x = 1 if name in sequences.PARAMETRIC_NAMES else None
-        bound = self.BYTES_PER_TERM if x else self.SMALL_INT_BYTES_PER_TERM
+    @pytest.mark.parametrize("case", list(PEAK_BOUNDS))
+    def test_peak_per_term(self, case):
+        name, x, bound = self.PEAK_BOUNDS[case]
         n = 200_000
         tracemalloc.start()
         try:
@@ -543,7 +548,12 @@ class TestRecursiveFamilies:
         assert seq[2048] > 2**64
         assert seq[2048] == naive_kappa(6, 2048)
         # Seed maxima of exactly 2^31 and 2^63 (2^31, 8^21, 2^63) sit on lane-width boundaries.
-        for n, x in ((2, 31), (8, 21), (2, 63)):
+        # 215^4 and 1290^3 are the largest under 2^31, 1448^6 and 6208^5 under 2^63, each beside
+        # N + 1, whose seed takes the wider storage; the lanes past N in their last seed piece overflow.
+        for n, x in (
+            (2, 31), (8, 21), (2, 63),
+            (215, 4), (216, 4), (1290, 3), (1291, 3), (1448, 6), (1449, 6), (6208, 5), (6209, 5),
+        ):
             assert gen_builtin("kappa", n, x=x).terms() == naive_kappa_range(x, n), (n, x)
 
 
