@@ -5,19 +5,20 @@ Python's arbitrary-precision integers, so identity checks compare exact
 values and never round.  ``kappa``, ``K``, the Dirichlet inverse and
 the Dirichlet convolution take their slice updates in one order, from
 `_recursion_updates`: every pair (d, m) with m >= 2 and d m <= N, split
-at r = isqrt(N), up to r one slice update per d, above it one per block
-[lo, lo + min(lo, 8r)) and multiplier m.  So O(sqrt(N) log N) slice
-updates carry the O(N log N) operations, not N.  The first three are one
-sieve over multiples, a proper-divisor recursion that reads the table it
-writes; the convolution reads a separate table.  For kappa and K
-the table starts in an ``array`` of 4-byte, else 8-byte lanes, and each
-slice update is one addition of Python ints holding the lanes as
-fixed-width fields.  The seed n^x goes in the same way, 512 lanes at a
-time, as a sum of binomial multiples of packed columns m^i.  An update
-that would carry across lanes is left
+at r = isqrt(N), up to r one update per d and piece, above it one per
+block [lo, lo + min(lo, 8r)) and multiplier m.  One size, 8r by
+`_piece`, cuts those pieces, the seed's and the inverse's sign pass.
+So O(sqrt(N) log N) slice updates carry the O(N log N) operations, not
+N.  The first three are one sieve over multiples, a proper-divisor
+recursion that reads the table it writes; the convolution reads a
+separate table.  For kappa and K the table starts in an ``array`` of
+4-byte, else 8-byte lanes, and each slice update is one addition of
+Python ints holding the lanes as fixed-width fields.  The seed n^x goes
+in the same way, a piece at a time, as a sum of binomial multiples of
+packed columns m^i.  An update that would carry across lanes is left
 unwritten; the table widens in place to 8-byte lanes, or past those to
-a list, and the run resumes with that update.  The five
-multiplicative generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
+a list, and the run resumes with that update.  The five multiplicative
+generators (``mobius``, ``phi``, ``jordan``, ``sigma``,
 ``num_divisors``) are O(N): one step per odd n over the
 smallest-prime-factor table, an O(N log log N) sieve writing one slice
 per prime up to sqrt(N), then one slice per power of two q <= N for the
@@ -448,10 +449,10 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
 
     The seed (id_x, or epsilon for K) goes into the narrowest storage
     whose signed range holds it: 4-byte lanes, 8-byte lanes, else a list.
-    Lanes take id_x from `_seed_lanes` in pieces of packed big ints, a
-    list from ``map(pow, ...)`` in 2^16-entry pieces.  When an update does
-    not fit the lanes, the table as it stands widens and the run resumes
-    with that update, so none is applied twice.
+    Lanes take id_x from `_seed_lanes` as packed big ints, a list from
+    ``map(pow, ...)``, a `_piece` at a time.  When an update does not fit
+    the lanes, the table as it stands widens and the run resumes with
+    that update, so none is applied twice.
     """
     from array import array  # a shared library: loaded on first use, not at import
 
@@ -466,9 +467,10 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
     elif codes:
         _seed_lanes(table, x)
     else:
-        for lo in range(1, n_max + 1, _PIECE):
-            seed = map(pow, range(lo, min(lo + _PIECE, n_max + 1)), repeat(x))
-            table[lo : lo + _PIECE] = list(seed)
+        piece = _piece(n_max)
+        for lo in range(1, n_max + 1, piece):
+            seed = map(pow, range(lo, min(lo + piece, n_max + 1)), repeat(x))
+            table[lo : lo + piece] = list(seed)
     updates = _recursion_updates(n_max)
     while isinstance(table, array):
         pending = _apply_to_lanes(table, updates)
@@ -480,41 +482,37 @@ def _recursive_family(n_max: int, x: int | None) -> list[int]:
     return table
 
 
-# Most entries per update up to r = isqrt(N): none copies the whole table.
-_PIECE = 1 << 16
+def _piece(n_max: int) -> int:
+    """Most entries per slice write of the recursion, its seed and sign pass."""
+    return max(8 * isqrt(n_max), 1)
 
 
 def _seed_lanes(a: array.array, x: int) -> None:
     """Write n^x into the lanes n = 1..N of a; N^x must be below 2^(b-1).
 
-    Each piece n = lo + m, m < _SEED, is one int with lane m at bit b m,
-    the sum over i of lo^(x-i) times C(x, i) times the column of m^i,
-    columns built once.  A column lane m^i >= 2^b wraps, but lanes
+    Each piece n = lo + m, m < `_piece` (N), is one int with lane m at
+    bit b m, the sum over i of lo^(x-i) times C(x, i) times the column of
+    m^i, columns built once.  A column lane m^i >= 2^b wraps, but lanes
     n <= N hold m^i <= n^x and sums of at most N^x, so none of them
-    carries; the lanes past N may, and their carries only move up, to
-    lanes that the mask and the last piece's length drop.  So there is no
-    Python call per entry and no N-length temporary.
+    carries; the lanes past N, all in the last piece, may, and their
+    carries only move up, to lanes that the mask and its length drop.  So
+    there is no Python call per entry and no N-length temporary.
     """
     from array import array
 
-    code, width = a.typecode, a.itemsize
-    lane = (1 << 8 * width) - 1
+    code, width, end = a.typecode, a.itemsize, len(a)
+    lane, size = (1 << 8 * width) - 1, _piece(end - 1)
     columns = []
     for i in range(x + 1):
-        packed = b"".join((m**i & lane).to_bytes(width, "little") for m in range(_SEED))
+        packed = b"".join((m**i & lane).to_bytes(width, "little") for m in range(size))
         columns.append((x - i, comb(x, i) * int.from_bytes(packed, "little")))
-    mask = (1 << 8 * width * _SEED) - 1
-    end = len(a)
-    for lo in range(1, end, _SEED):
+    mask = (1 << 8 * width * size) - 1
+    for lo in range(1, end, size):
         t = sum(lo**e * column for e, column in columns) & mask
-        piece = array(code, t.to_bytes(width * _SEED, "little")[: width * (end - lo)])
+        piece = array(code, t.to_bytes(width * size, "little")[: width * (end - lo)])
         if _BYTEORDER == "big":
             piece.byteswap()
-        a[lo : lo + _SEED] = piece
-
-
-# Lanes per seed piece: larger pieces raised series peak memory.
-_SEED = 1 << 9
+        a[lo : lo + size] = piece
 
 
 def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
@@ -524,9 +522,9 @@ def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
     table:
 
     * ``(dst, d, ms)`` for d <= r = isqrt(N): entry d into its multiples
-      d m for m in the slice ``ms``, in pieces of 2^16 entries or half
-      the table, if less.  Ascending d, so all proper divisors of d have
-      spread into it already.
+      d m for m in the slice ``ms``, in pieces of `_piece` (N) = 8r
+      entries.  Ascending d, so all proper divisors of d have spread into
+      it already.
     * ``(dst, ds, m)`` per block [lo, lo + width) above r: the entries d
       in the slice ``ds`` into d m, one multiplier m at a time.
 
@@ -539,10 +537,10 @@ def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
 
     O(N log N) operations in one update per d and piece up to r, and
     about (7/4 + ln(sqrt(N) / 8) / 8) sqrt(N) updates above it by
-    default (975 in all at N = 10^5, 3284 at 10^6), sqrt(N) at width N.
+    default (1124 in all at N = 10^5, 3858 at 10^6), sqrt(N) at width N.
     """
     r = isqrt(n_max)
-    piece = max(min(_PIECE, n_max // 2), 1)
+    piece = _piece(n_max)
     for d in range(1, r + 1):
         top = n_max // d
         for m0 in range(2, top + 1, piece):
@@ -553,7 +551,7 @@ def _recursion_updates(n_max: int, width: int | None = None) -> Iterator[tuple]:
     # then kept about 1.5 MiB more resident memory.
     lo = r + 1
     while lo <= n_max:
-        hi = min(lo + (width or min(lo, 8 * r)), n_max + 1)
+        hi = min(lo + (width or min(lo, piece)), n_max + 1)
         for m in range(2, n_max // lo + 1):
             top = min(hi - 1, n_max // m)
             yield slice(m * lo, m * top + 1, m), slice(lo, top + 1), m
@@ -666,7 +664,7 @@ def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
     -1, S(n) = sum of c f(n/d) S(d) over proper divisors d.  For the
     inverse of K these are mostly small nonnegative ints, which CPython
     caches; stored signed, they would double its peak memory.  Then
-    g = c S in 2^16-entry pieces.  Requires f(1) in {+1, -1}; anything
+    g = c S, a `_piece` at a time.  Requires f(1) in {+1, -1}; anything
     else raises NotAUnitError because the inverse would leave the integers.
     """
     u = f._vals[1]
@@ -679,8 +677,9 @@ def dirichlet_inverse(f: ArithSeq) -> ArithSeq:
     g[1] = -1
     _apply_to_list(g, _recursion_updates(n_max), f._vals, c)
     if c != 1:
-        for lo in range(1, n_max + 1, _PIECE):
-            g[lo : lo + _PIECE] = [-v for v in g[lo : lo + _PIECE]]
+        piece = _piece(n_max)
+        for lo in range(1, n_max + 1, piece):
+            g[lo : lo + piece] = [-v for v in g[lo : lo + piece]]
     return ArithSeq._from_padded(g, f"{f.label}^-1" if f.label else "inverse")
 
 

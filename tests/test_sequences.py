@@ -92,12 +92,28 @@ def brute_proper_divisor_sums(seed):
 
 
 # The kernels split at r = isqrt(N): every N up to 150, and N just below,
-# at and past r^2 (r^2 - 1, r^2, r^2 + r, r^2 + 2r) for three r.  The
-# kappa seed goes into lanes in pieces: N around one and two pieces.
-SEED_PIECE = sequences._SEED
+# at and past r^2 (r^2 - 1, r^2, r^2 + r, r^2 + 2r) for three r.  Slice
+# writes go in pieces of 8r: at N = 256, 8r is N/2; at 4097 the last seed
+# piece holds one lane, and at 4098 the last d = 1 stride piece one entry.
 SPLIT_NS = list(range(1, 151)) + [
     n for r in (10, 31, 64) for n in (r * r - 1, r * r, r * r + r, r * r + 2 * r)
-] + [SEED_PIECE - 1, SEED_PIECE, SEED_PIECE + 1, 2 * SEED_PIECE + 1]
+] + [255, 256, 257, 4097, 4098]
+
+
+# Here r = 443, and every stride d <= 55 takes more than one 8r-entry piece.
+PIECES_N = 3 * 2**16 + 16
+
+
+def piece_seams(n_max):
+    """Each n >= 2 within 4 of d (2 + j 8 isqrt(N)), for d = 1, 2, 3 and
+    j >= 0: where the pieces of the strides d begin."""
+    seams = {
+        n
+        for d in (1, 2, 3)
+        for m0 in range(2, n_max // d + 1, 8 * isqrt(n_max))
+        for n in range(d * m0 - 4, d * m0 + 4)
+    }
+    return sorted(n for n in seams if 2 <= n <= n_max)
 
 
 def split_operands(n_max, seed):
@@ -324,8 +340,9 @@ class TestMemory:
     #   mobius and num_divisors 16.1 / 16.1 (cached small ints, so only
     #     the tables' pointers count): the same mutant reads 20.3;
     #   kappa_1 40.1 / 44.1 in 4-byte lanes and kappa_3 48.0 / 48.0 in
-    #     8-byte lanes: the seed in pieces of 2^16 lanes, not 2^9, reads
-    #     48.0 and 61.5, and in one piece of 2^18 lanes 180 and 222.
+    #     8-byte lanes: the seed in pieces of 2^16 lanes, not 8 isqrt(N),
+    #     reads 49.3 and 64.1, and in one piece of N + 1 lanes 141.5 and
+    #     178.7.
     PEAK_BOUNDS = {  # case: (generator, x, bound in bytes per term)
         "sigma": ("sigma", 1, 43),
         "phi": ("phi", None, 42),
@@ -334,9 +351,9 @@ class TestMemory:
         "kappa": ("kappa", 1, 47),
         "kappa_3": ("kappa", 3, 51),
     }
-    # The same for the inverse of K, its operand excluded: 23.1 / 24.1
-    # (29.7 on 3.11 with dyadic blocks of up to N/2 entries scaled at once).
-    INVERSE_BYTES_PER_TERM = 27
+    # The same for the inverse of K, its operand excluded: 13.4 / 14.1.
+    # Strides in pieces of 2^16 entries, not 8 isqrt(N), read 23.1 / 24.1.
+    INVERSE_BYTES_PER_TERM = 17
 
     @pytest.mark.parametrize("case", list(PEAK_BOUNDS))
     def test_peak_per_term(self, case):
@@ -436,19 +453,16 @@ class TestConvolution:
         assert dirichlet_convolve(f, g + h) == dirichlet_convolve(f, g) + dirichlet_convolve(f, h)
 
     def test_across_the_pieces(self):
-        # The strides d <= r update in pieces of 2^16 entries; at this N,
-        # d = 1, 2 and 3 take more than one.  Check where pieces meet, for
-        # a signed and an unsigned product.
-        n_max = 3 * 2**16 + 16
+        # Check where the strides' pieces meet, for a signed and an
+        # unsigned product.
         pairs = (("mobius", None, "K", None), ("kappa", 1, "sigma", 2))
         for f_name, f_x, g_name, g_x in pairs:
-            f = gen_builtin(f_name, n_max, x=f_x)
-            g = gen_builtin(g_name, n_max, x=g_x)
+            f = gen_builtin(f_name, PIECES_N, x=f_x)
+            g = gen_builtin(g_name, PIECES_N, x=g_x)
             fg = dirichlet_convolve(f, g)
-            for k in (1, 2, 3):
-                for n in range(k * 2**16 - 8, k * 2**16 + 16):
-                    expected = sum(f[d] * g[n // d] for d in brute_divisors(n))
-                    assert fg[n] == expected, (fg.label, n)
+            for n in piece_seams(PIECES_N):
+                expected = sum(f[d] * g[n // d] for d in brute_divisors(n))
+                assert fg[n] == expected, (fg.label, n)
 
 
 class TestInverse:
@@ -494,13 +508,15 @@ class TestInverse:
         assert dirichlet_convolve(f, inv) == gen_builtin("epsilon", 4)
 
     def test_across_the_recursion_pieces(self):
-        # The inverse shares the sieve's recursion: at this N the strides
-        # d = 1, 2 and 3 take more than one 2^16-entry piece.  f(1) = 1
-        # scales each final entry by -1; f(1) = -1 leaves it as summed.
-        n_max = 3 * 2**16 + 16
-        eps = gen_builtin("epsilon", n_max)
-        for f in (gen_builtin("K", n_max), -1 * gen_builtin("kappa", n_max, x=1)):
-            assert dirichlet_convolve(f, dirichlet_inverse(f)) == eps, f.label
+        # The inverse shares the sieve's recursion and its pieces.  f(1) = 1
+        # scales each final entry by -1, a piece at a time; f(1) = -1 leaves
+        # it as summed.  Where the strides' pieces meet, f * g vanishes.
+        eps = gen_builtin("epsilon", PIECES_N)
+        for f in (gen_builtin("K", PIECES_N), -1 * gen_builtin("kappa", PIECES_N, x=1)):
+            g = dirichlet_inverse(f)
+            for n in piece_seams(PIECES_N):
+                assert sum(f[n // d] * g[d] for d in brute_divisors(n)) == 0, (f.label, n)
+            assert dirichlet_convolve(f, g) == eps, f.label
 
 
 class TestRecursiveFamilies:
@@ -526,16 +542,13 @@ class TestRecursiveFamilies:
                 assert got == brute_proper_divisor_sums(seed), (n_max, x)
 
     def test_recursion_across_the_sieve_pieces(self):
-        # The strides d <= r update in pieces of 2^16 entries; at this N,
-        # d = 1, 2 and 3 take more than one.  Check where pieces meet.
-        n_max = 3 * 2**16 + 16
+        # Check where the strides' pieces meet.
         for name, x in (("kappa", 1), ("K", None)):
-            seq = gen_builtin(name, n_max, x=x)
-            for k in (1, 2, 3):
-                for n in range(k * 2**16 - 8, k * 2**16 + 16):
-                    seed = n if name == "kappa" else 0
-                    proper = sum(seq[d] for d in brute_divisors(n)[:-1])
-                    assert seq[n] == seed + proper, (name, n)
+            seq = gen_builtin(name, PIECES_N, x=x)
+            for n in piece_seams(PIECES_N):
+                seed = n if name == "kappa" else 0
+                proper = sum(seq[d] for d in brute_divisors(n)[:-1])
+                assert seq[n] == seed + proper, (name, n)
 
     def test_kappa_0_is_one_convolved_with_K(self):
         n = 10_000
@@ -584,7 +597,8 @@ class TestRecursionSchedule:
     def test_every_pair_once_and_every_source_final(self):
         # The sieve and the inverse read their own table, at the default
         # width; the convolution reads another table, in one block of N.
-        for n_max, wide in product(SPLIT_NS + [3 * 2**16 + 16], (False, True)):
+        # No update but the convolution's blocks touches more than 8r entries.
+        for n_max, wide in product(SPLIT_NS + [PIECES_N], (False, True)):
             # The pair (d, m), m >= 2 and d m <= N, has the slot first[m] + d - 1.
             first = [0, 0, 0, *accumulate(n_max // m for m in range(2, n_max + 1))]
             covered = bytearray(first[-1])
@@ -599,6 +613,8 @@ class TestRecursionSchedule:
                 step = ds[0] if len(ds) == 1 else ms[0]
                 want = range(ds[0] * ms[0], ds[-1] * ms[-1] + 1, step)
                 assert range(n_max + 1)[dst] == want, (n_max, dst)
+                if not wide or isinstance(d, int):
+                    assert len(want) <= 8 * isqrt(n_max), (n_max, dst)
                 # Sources are read before the update writes, and stay final.
                 if not wide:
                     read[ds[0] : ds[-1] + 1] = b"\1" * len(ds)
@@ -642,7 +658,7 @@ def kernel_calls(monkeypatch):
 class TestLaneKernel:
     def test_matches_the_list_kernel(self):
         finished = set()
-        for n_max in SPLIT_NS + [3 * 2**16 + 16]:
+        for n_max in SPLIT_NS + [PIECES_N]:
             for x in [None, *range(6)]:
                 expected = list_kernel(n_max, x)
                 for code in ("i", "q"):
